@@ -65,7 +65,7 @@ def is_checkable(token: str) -> bool:
 
 
 def exists_as_target(path: Path) -> bool:
-    """True for extensionless build-target references like `tools/aropuf_fleet`
+    """True for extensionless build-target references like `tools/aropuf_shard`
     whose source file exists — docs name binaries by target, not by .cpp."""
     if path.suffix:
         return False

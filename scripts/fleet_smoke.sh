@@ -1,19 +1,20 @@
 #!/bin/sh
-# Fleet end-to-end smoke: one coordinator + two localhost workers, with the
-# merged statistics required to be bit-identical to a single-process run
-# (--check-single).  With --kill-one, the first worker hard-closes its
-# connection on its first job (the --abort-first-job test hook), which drives
-# the coordinator's reassignment path deterministically — the run must still
-# complete bit-identically.
+# Fleet end-to-end smoke: an aropuf_shard coordinator opened with --listen
+# (no local workers, --jobs 0) plus two separately started --worker
+# processes, with the merged statistics required to be bit-identical to a
+# single-process run (--check-single).  With --kill-one, the first worker
+# hard-closes its connection on its first job (the --abort-first-job test
+# hook), which drives the coordinator's reassignment path deterministically —
+# the run must still complete bit-identically.
 #
-# Usage: fleet_smoke.sh FLEET_BINARY OUT_DIR [--kill-one]
+# Usage: fleet_smoke.sh SHARD_BINARY OUT_DIR [--kill-one]
 #
 # Exit: 0 on success; nonzero (with a message) on any failure.  Used by the
-# tools.fleet_* ctest legs and the CI fleet-smoke job.
+# tools.fleet_* ctest legs and the CI orchestration job.
 set -eu
 
-FLEET=${1:?usage: fleet_smoke.sh FLEET_BINARY OUT_DIR [--kill-one]}
-OUT=${2:?usage: fleet_smoke.sh FLEET_BINARY OUT_DIR [--kill-one]}
+FLEET=${1:?usage: fleet_smoke.sh SHARD_BINARY OUT_DIR [--kill-one]}
+OUT=${2:?usage: fleet_smoke.sh SHARD_BINARY OUT_DIR [--kill-one]}
 KILL_ONE=${3:-}
 
 rm -rf "$OUT"
@@ -29,7 +30,7 @@ export AROPUF_PROF
 
 # Total timeout bounds a hung run (a dead worker must surface as a reassign
 # or a failed job, never as a stuck CI leg).
-"$FLEET" --listen 0 --port-file "$PORT_FILE" \
+"$FLEET" --listen 0 --jobs 0 --port-file "$PORT_FILE" \
   --shards 3 --chips 12 --checkpoints 1,10 \
   --out "$OUT" --check-single --timeout 600 --run shard_study &
 COORD_PID=$!

@@ -9,10 +9,9 @@ serialization regression fails the build instead of silently producing
 files Perfetto or the shard-merge driver cannot read.
 
 Aggregated manifests (telemetry/aggregate.hpp, written by tools/aropuf_shard)
-and progress heartbeat JSONL files (telemetry/progress.hpp) validate here
-too, and --diff-stats enforces the sharding acceptance bar: the sections
-that must be invariant under shard decomposition (config, results, study)
-must match byte-for-byte between two aggregate manifests.
+validate here too, and --diff-stats enforces the sharding acceptance bar:
+the sections that must be invariant under shard decomposition (config,
+results, study) must match byte-for-byte between two aggregate manifests.
 
 Binary shard manifests (telemetry/binfmt.hpp, the ARPB container that moves
 sample values out of the JSON document) validate with --binary: the framing
@@ -27,9 +26,9 @@ drop-raw run reproduces a kept single-shot run's statistics).
 
 Resource timelines (telemetry/prof.hpp ResourceSampler) validate with
 --resource: every JSONL line must carry a monotonic timestamp and
-non-negative RSS/CPU readings, with the same torn-final-line tolerance as
-the heartbeat reader.  The run-manifest "profile" section (counter mode,
-fallback reason, peak RSS) is validated as part of the manifest schema.
+non-negative RSS/CPU readings; a torn final line is tolerated.  The
+run-manifest "profile" section (counter mode, fallback reason, peak RSS) is
+validated as part of the manifest schema.
 
 Usage:
   validate_manifest.py manifest.json [more.json ...]   # manifest schema
@@ -37,7 +36,6 @@ Usage:
   validate_manifest.py --aggregate merged.json [...]   # aggregate schema
   validate_manifest.py --binary shard.manifest.bin [...]  # ARPB container
   validate_manifest.py --auth-store store.arps [...]   # ARPS enrollment store
-  validate_manifest.py --progress progress.jsonl [...] # heartbeat JSONL
   validate_manifest.py --resource resource.jsonl [...] # resource timeline
   validate_manifest.py --fleet-metrics fleet_metrics.json [...]
                                                        # fleet snapshot schema
@@ -230,15 +228,6 @@ AGGREGATE_KEYS = {
 
 SHARD_ROW_KEYS = ("index", "chip_lo", "chip_hi", "manifest", "git_sha", "threads",
                   "kernel_backend", "wall_ms")
-
-HEARTBEAT_KEYS = {
-    "ts_unix_ms": lambda v: isinstance(v, (int, float)) and v > 0,
-    "shard": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "stage": lambda v: isinstance(v, str) and v != "",
-    "done": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "total": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "elapsed_ms": lambda v: isinstance(v, (int, float)) and v >= 0,
-}
 
 # Sections of an aggregate manifest that must be byte-identical for any shard
 # decomposition of the same study (the PR's bit-identity acceptance bar).
@@ -507,44 +496,6 @@ def validate_auth_store(path: Path) -> list[str]:
     return problems
 
 
-def validate_progress(path: Path) -> list[str]:
-    try:
-        text = path.read_text()
-    except OSError as e:
-        return [fail(path, f"unreadable: {e}")]
-    problems = []
-    beats = 0
-    lines = text.splitlines()
-    # A file that does not end in a newline was byte-truncated or caught
-    # mid-append: the torn final line is a writer artifact the incremental
-    # reader also buffers rather than rejects, so skip it here too.
-    if text and not text.endswith("\n") and lines:
-        lines = lines[:-1]
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            beat = json.loads(line)
-        except json.JSONDecodeError:
-            problems.append(fail(path, f"line {i + 1} is not valid JSON"))
-            continue
-        if not isinstance(beat, dict):
-            problems.append(fail(path, f"line {i + 1} is not an object"))
-            continue
-        beats += 1
-        for key, ok in HEARTBEAT_KEYS.items():
-            if key not in beat:
-                problems.append(fail(path, f"line {i + 1} missing '{key}'"))
-            elif not ok(beat[key]):
-                problems.append(fail(path, f"line {i + 1} key '{key}' invalid"))
-        if isinstance(beat.get("done"), (int, float)) and isinstance(
-                beat.get("total"), (int, float)) and beat["done"] > beat["total"]:
-            problems.append(fail(path, f"line {i + 1} has done > total"))
-    if beats == 0:
-        problems.append(fail(path, "no heartbeat lines"))
-    return problems
-
-
 # resource.jsonl (telemetry/prof.hpp ResourceSampler): one sample object per
 # line.  Timestamps are derived from a cached epoch plus the steady clock, so
 # they must be strictly positive and non-decreasing across the file.
@@ -568,9 +519,8 @@ def validate_resource(path: Path) -> list[str]:
     samples = 0
     prev_ts = None
     lines = text.splitlines()
-    # Same torn-final-line tolerance as the heartbeat reader: the sampler may
-    # be killed mid-append, and a byte-truncated last line is a writer
-    # artifact rather than a schema violation.
+    # The sampler may be killed mid-append: a byte-truncated last line is a
+    # writer artifact rather than a schema violation.
     if text and not text.endswith("\n") and lines:
         lines = lines[:-1]
     for i, line in enumerate(lines):
@@ -793,7 +743,6 @@ def main(argv: list[str]) -> int:
     modes = {
         "--trace": "trace",
         "--aggregate": "aggregate",
-        "--progress": "progress",
         "--resource": "resource",
         "--binary": "binary",
         "--auth-store": "auth-store",
@@ -822,7 +771,6 @@ def main(argv: list[str]) -> int:
         "manifest": validate_manifest,
         "trace": validate_trace,
         "aggregate": validate_aggregate,
-        "progress": validate_progress,
         "resource": validate_resource,
         "binary": validate_binary,
         "auth-store": validate_auth_store,

@@ -212,28 +212,4 @@ void Authenticator::set_cache(std::size_t capacity) {
   cache_ = capacity > 0 ? std::make_unique<RecordCache>(capacity) : nullptr;
 }
 
-DeviceId Authenticator::device_id_from_name(const std::string& device_name) {
-  ARO_REQUIRE(!device_name.empty(), "device id must be non-empty");
-  // FNV-1a 64: stable, documented mapping for legacy string keys.
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const char c : device_name) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-void Authenticator::enroll(const std::string& device_name, BitVector response) {
-  enroll(device_id_from_name(device_name), std::move(response));
-}
-
-bool Authenticator::knows(const std::string& device_name) const {
-  return knows(device_id_from_name(device_name));
-}
-
-std::optional<AuthResult> Authenticator::verify(const std::string& device_name,
-                                                const BitVector& response) const {
-  return verify(device_id_from_name(device_name), response);
-}
-
 }  // namespace aropuf

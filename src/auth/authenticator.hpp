@@ -14,9 +14,7 @@
 // API (since the E15 service redesign): devices are 64-bit DeviceId handles
 // and storage lives behind EnrollmentStore (enrollment_store.hpp), so the
 // same verifier code runs against the in-memory map and the mmap-ed
-// million-device ARPS store (store_binary.hpp).  The old string-keyed
-// methods survive one release as a deprecated shim that hashes the name to a
-// DeviceId.
+// million-device ARPS store (store_binary.hpp).
 #pragma once
 
 #include <array>
@@ -24,7 +22,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 
 #include "auth/enrollment_store.hpp"
 #include "auth/lru_cache.hpp"
@@ -137,25 +134,6 @@ class Authenticator {
 
   /// The attached cache, or nullptr (for hit/miss reporting).
   [[nodiscard]] const RecordCache* cache() const noexcept { return cache_.get(); }
-
-  /// Deprecated string-keyed shim (one release): hashes the name with
-  /// device_id_from_name() and forwards.
-  [[deprecated("use DeviceId keys; names are hashed via device_id_from_name()")]]
-  void enroll(const std::string& device_name, BitVector response);
-
-  /// Deprecated string-keyed shim (one release).
-  [[deprecated("use DeviceId keys; names are hashed via device_id_from_name()")]]
-  [[nodiscard]] bool knows(const std::string& device_name) const;
-
-  /// Deprecated string-keyed shim (one release).
-  [[deprecated("use DeviceId keys; names are hashed via device_id_from_name()")]]
-  [[nodiscard]] std::optional<AuthResult> verify(const std::string& device_name,
-                                                 const BitVector& response) const;
-
-  /// Mapping the deprecated shim applies to legacy string keys: FNV-1a 64
-  /// over the name's bytes.  Stable across releases so migrating callers can
-  /// translate existing databases.
-  [[nodiscard]] static DeviceId device_id_from_name(const std::string& device_name);
 
  private:
   [[nodiscard]] std::shared_ptr<const RecordCache::Entry> load_record(DeviceId id,

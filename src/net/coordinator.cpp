@@ -1,14 +1,13 @@
 #include "net/coordinator.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <list>
+#include <map>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "net/socket.hpp"
 #include "telemetry/log.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -65,14 +64,14 @@ struct Coordinator::Impl {
   CoordinatorCallbacks callbacks;
   Listener listener;
 
-  // Job bookkeeping mirrors aropuf_shard's ShardState: attempts count
-  // dispatches, the retry budget is `retries` extra attempts.
+  // Job bookkeeping, keyed by shard index: attempts count dispatches, the
+  // retry budget is `retries` extra attempts.
   enum class JobPhase { kPending, kRunning, kDone, kFailed };
   struct Job {
     JobPhase phase = JobPhase::kPending;
     int attempts = 0;
   };
-  std::vector<Job> jobs;
+  std::map<int, Job> jobs;
   std::deque<int> pending;
   std::list<Connection> connections;
   FleetSummary summary;
@@ -83,7 +82,7 @@ struct Coordinator::Impl {
 
   [[nodiscard]] std::size_t unfinished() const {
     std::size_t n = 0;
-    for (const Job& j : jobs) {
+    for (const auto& [shard, j] : jobs) {
       if (j.phase == JobPhase::kPending || j.phase == JobPhase::kRunning) ++n;
     }
     return n;
@@ -94,7 +93,7 @@ struct Coordinator::Impl {
   bool dispatch(Connection& conn, int shard) {
     JobMsg job = config.job_template;
     job.shard = shard;
-    job.attempt = jobs[static_cast<std::size_t>(shard)].attempts + 1;
+    job.attempt = jobs[shard].attempts + 1;
     // Trace context: the template's trace_id rides unchanged; the parent-span
     // label pins this specific dispatch so reassigned attempts stay distinct
     // in the merged timeline.
@@ -108,7 +107,7 @@ struct Coordinator::Impl {
                    {"error", JsonValue(std::string(e.what()))});
       return false;
     }
-    Job& state = jobs[static_cast<std::size_t>(shard)];
+    Job& state = jobs[shard];
     ++state.attempts;
     if (state.attempts > 1) ++summary.reassignments;
     state.phase = JobPhase::kRunning;
@@ -123,7 +122,7 @@ struct Coordinator::Impl {
   /// frame, or a fold that threw).  Exhausting the retry budget marks the
   /// job failed; the run keeps going so every other job still lands.
   void requeue_job(int shard, const std::string& why) {
-    Job& job = jobs[static_cast<std::size_t>(shard)];
+    Job& job = jobs[shard];
     if (job.phase != JobPhase::kRunning) return;
     if (job.attempts <= config.retries) {
       job.phase = JobPhase::kPending;
@@ -247,13 +246,13 @@ struct Coordinator::Impl {
           if (callbacks.on_result) callbacks.on_result(shard, std::move(frame.payload), conn.name);
         } catch (const std::exception& e) {
           // A result that will not fold consumes this attempt, exactly like a
-          // crashed aropuf_shard worker whose manifest would not parse.
+          // worker that crashed before answering.
           ARO_LOG_WARN("fleet", "shard result rejected", {"shard", JsonValue(shard)},
                        {"error", JsonValue(std::string(e.what()))});
           requeue_job(shard, std::string("result rejected: ") + e.what());
           return true;
         }
-        jobs[static_cast<std::size_t>(shard)].phase = JobPhase::kDone;
+        jobs[shard].phase = JobPhase::kDone;
         ++summary.jobs_done;
         telemetry::MetricsRegistry::global().counter("fleet.folds").add(1);
         return true;
@@ -282,14 +281,22 @@ struct Coordinator::Impl {
   }
 };
 
-Coordinator::Coordinator(CoordinatorConfig config, CoordinatorCallbacks callbacks)
+Coordinator::Coordinator(Listener listener, CoordinatorConfig config,
+                         CoordinatorCallbacks callbacks)
     : impl_(std::make_unique<Impl>()) {
-  if (config.jobs < 1) throw std::runtime_error("fleet: need at least one job");
+  if (config.jobs.empty()) throw std::runtime_error("fleet: need at least one job");
+  for (const int shard : config.jobs) {
+    if (shard < 0 || shard >= config.job_template.shards) {
+      throw std::runtime_error("fleet: job shard " + std::to_string(shard) + " out of range");
+    }
+    if (!impl_->jobs.emplace(shard, Impl::Job{}).second) {
+      throw std::runtime_error("fleet: job shard " + std::to_string(shard) + " listed twice");
+    }
+    impl_->pending.push_back(shard);
+  }
   impl_->config = std::move(config);
   impl_->callbacks = std::move(callbacks);
-  impl_->listener = Listener::listen_on(impl_->config.port);
-  impl_->jobs.assign(static_cast<std::size_t>(impl_->config.jobs), {});
-  for (int k = 0; k < impl_->config.jobs; ++k) impl_->pending.push_back(k);
+  impl_->listener = std::move(listener);
 }
 
 Coordinator::~Coordinator() = default;
@@ -302,8 +309,9 @@ FleetSummary Coordinator::run() {
 #else
   Impl& impl = *impl_;
   const telemetry::TraceScope span("fleet.coordinate", "fleet",
-                                   {{"jobs", JsonValue(impl.config.jobs)}});
+                                   {{"jobs", JsonValue(static_cast<int>(impl.jobs.size()))}});
   const Clock::time_point t0 = Clock::now();
+  Clock::time_point attended = t0;  // last moment a worker was attached
 
   while (impl.unfinished() > 0) {
     if (impl.config.total_timeout_s > 0 && seconds_since(t0) > impl.config.total_timeout_s) {
@@ -391,6 +399,15 @@ FleetSummary Coordinator::run() {
           ++it;
         }
       }
+      // The same deadline with no worker attached at all: the run is stalled
+      // (every worker died before connecting, or none was started).  Say so
+      // once per interval; the caller decides whether to keep waiting.
+      if (!impl.connections.empty()) {
+        attended = Clock::now();
+      } else if (seconds_since(attended) > impl.config.heartbeat_timeout_s) {
+        attended = Clock::now();
+        impl.event("timeout", -1, "no worker connected");
+      }
     }
   }
 
@@ -441,7 +458,7 @@ FleetSummary Coordinator::run() {
   impl.connections.clear();
 
   impl.summary.ok = !impl.summary.timed_out && impl.summary.jobs_failed == 0 &&
-                    impl.summary.jobs_done == impl.config.jobs;
+                    impl.summary.jobs_done == static_cast<int>(impl.jobs.size());
   return impl.summary;
 #endif
 }

@@ -5,16 +5,16 @@
 // connection; all protocol state lives in this module, all policy about what
 // the bytes *mean* stays with the caller:
 //
-//  * jobs are shard indices drawn from the same planner aropuf_shard uses
-//    (a JobMsg template with the shard index filled per dispatch);
+//  * jobs are the shard indices the caller lists (a JobMsg template with the
+//    shard index filled per dispatch) — all of them for a fresh study, only
+//    the missing ones for a resumed one;
 //  * a returned RESULT is handed to callbacks.on_result as raw container
-//    bytes — tools/aropuf_fleet.cpp streams them into AggregateBuilder via
-//    the format-agnostic decode path, so fold semantics are identical to the
-//    single-host orchestrator;
+//    bytes — tools/aropuf_shard.cpp persists them and streams them into
+//    AggregateBuilder via the format-agnostic decode path, so fold semantics
+//    are identical to the in-process path;
 //  * a worker that disconnects, times out (no frame within
 //    heartbeat_timeout_s), or reports an ERROR while owning a job sends that
-//    job back through the retry budget (attempts ≤ retries+1, the same
-//    machinery aropuf_shard applies to crashed child processes).  A throwing
+//    job back through the retry budget (attempts ≤ retries+1).  A throwing
 //    on_result counts as a failed attempt too: a manifest that will not fold
 //    is as fatal as a worker that never answered.
 //
@@ -26,18 +26,23 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "net/frame.hpp"
+#include "net/socket.hpp"
 #include "telemetry/progress.hpp"
 
 namespace aropuf::net {
 
 /// Run parameters for one coordinator instance.
 struct CoordinatorConfig {
-  std::uint16_t port = 0;           ///< listen port; 0 = kernel-assigned
-  int jobs = 1;                     ///< total shard jobs (indices 0..jobs-1)
+  /// Shard indices to run, in dispatch order: distinct, each in
+  /// [0, job_template.shards).
+  std::vector<int> jobs;
   int retries = 1;                  ///< extra attempts per failed job
-  double heartbeat_timeout_s = 60;  ///< drop a silent busy worker (0 = never)
+  /// Drop a busy worker silent this long, and report a run with no worker
+  /// attached this long (0 = never).
+  double heartbeat_timeout_s = 60;
   double total_timeout_s = 0;       ///< abort the whole run (0 = never)
   /// Study parameters; shard/attempt/parent_span are filled per dispatch
   /// (trace_id, when set, rides every JOB unchanged — see DESIGN.md §11.8).
@@ -49,7 +54,7 @@ struct CoordinatorCallbacks {
   /// A completed shard's manifest container bytes (ARPB or JSON text).
   /// Throwing fails this attempt and routes the job through the retry budget.
   std::function<void(int shard, std::string bytes, const std::string& worker)> on_result;
-  /// A worker's progress heartbeat (same schema as the on-disk JSONL beats).
+  /// A worker's progress heartbeat (a HEARTBEAT frame's payload).
   std::function<void(const telemetry::Heartbeat& beat, const std::string& worker)> on_heartbeat;
   /// A worker's METRICS snapshot (registry state + drained trace spans).
   /// `clock_offset_ms` is the coordinator's current skew estimate for this
@@ -58,7 +63,10 @@ struct CoordinatorCallbacks {
   std::function<void(const MetricsMsg& msg, const std::string& worker, double clock_offset_ms)>
       on_metrics;
   /// Lifecycle narration for logs/HUD: event ∈ {"connect", "dispatch",
-  /// "retry", "disconnect", "timeout", "fail", "bye"}.
+  /// "retry", "disconnect", "timeout", "fail", "bye"}.  "disconnect" carries
+  /// "<worker>: <reason>" and also follows every worker "timeout"; a
+  /// "timeout" with shard -1 means no worker has been attached for
+  /// heartbeat_timeout_s.  Throwing aborts run() with the exception.
   std::function<void(const std::string& event, int shard, const std::string& detail)> on_event;
 };
 
@@ -72,14 +80,15 @@ struct FleetSummary {
   int reassignments = 0;   ///< dispatches beyond each job's first attempt
 };
 
-/// Runs the coordinator loop: binds in the constructor (so callers can learn
-/// the ephemeral port before any worker exists), serves in run() until every
-/// job lands or fails terminally, then sends BYE to the fleet.
+/// Runs the coordinator loop over a listener the caller bound (so the caller
+/// picks the interface and learns the ephemeral port before any worker
+/// exists), serves in run() until every job lands or fails terminally, then
+/// sends BYE to the fleet.
 class Coordinator {
  public:
-  /// Binds the listener immediately; throws std::runtime_error when the
-  /// requested port cannot be bound or this build has no TCP transport.
-  Coordinator(CoordinatorConfig config, CoordinatorCallbacks callbacks);
+  /// Takes ownership of the bound `listener`; throws std::runtime_error when
+  /// the job list is empty, repeats a shard, or names one out of range.
+  Coordinator(Listener listener, CoordinatorConfig config, CoordinatorCallbacks callbacks);
   /// Closes the listener and every worker connection still open.
   ~Coordinator();
   Coordinator(const Coordinator&) = delete;

@@ -82,6 +82,11 @@ void FleetView::note_event(const std::string& event, int shard, const std::strin
     ++worker.jobs_assigned;
     worker.busy_shard = shard;
     worker.dispatch_unix_ms = now_unix_ms;
+    // The new job has reported no progress yet; the last job's stage would
+    // read as this one's.
+    worker.last_stage.clear();
+    worker.stage_done = 0;
+    worker.stage_total = 0;
     owner_by_shard_[shard] = w;
     if (dispatches_by_shard_[shard]++ >= 1) ++reassignments_;
     return;

@@ -1,10 +1,10 @@
-// ARPF framed messages: the wire protocol of the fleet coordinator/worker
-// pair (tools/aropuf_fleet.cpp).
+// ARPF framed messages: the wire protocol between the study coordinator and
+// its workers (tools/aropuf_shard.cpp).
 //
 // A fleet run moves two kinds of payload over TCP: small JSON control
 // documents (job assignment, heartbeats, errors) and whole shard-manifest
-// containers coming back from workers (the same bytes aropuf_shard workers
-// write to disk — ARPB binary or JSON text, sniffed downstream).  Both ride
+// containers coming back from workers (the same bytes the coordinator
+// persists to disk — ARPB binary or JSON text, sniffed downstream).  Both ride
 // in length-prefixed frames so a stream reader never guesses at message
 // boundaries.
 //

@@ -26,9 +26,10 @@ namespace {
   throw std::runtime_error("net: " + what + ": " + std::strerror(errno));
 }
 
-}  // namespace
+/// Marks `fd` close-on-exec (portable: macOS has no SOCK_CLOEXEC).
+void set_cloexec(int fd) { ::fcntl(fd, F_SETFD, ::fcntl(fd, F_GETFD) | FD_CLOEXEC); }
 
-bool net_available() noexcept { return true; }
+}  // namespace
 
 Socket::~Socket() { close(); }
 
@@ -69,18 +70,6 @@ std::size_t Socket::recv_some(void* buf, std::size_t size) {
   }
 }
 
-bool Socket::wait_readable(int timeout_ms) {
-  struct pollfd pfd{fd_, POLLIN, 0};
-  while (true) {
-    const int rc = ::poll(&pfd, 1, timeout_ms);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      fail("poll");
-    }
-    return rc > 0;
-  }
-}
-
 void Socket::close() noexcept {
   if (fd_ >= 0) {
     ::close(fd_);
@@ -104,6 +93,7 @@ Socket tcp_connect(const std::string& host, std::uint16_t port, double timeout_s
       last_error = std::strerror(errno);
       continue;
     }
+    set_cloexec(fd);
     // Non-blocking connect bounded by poll: a dead coordinator address fails
     // in timeout_s, not in the kernel's multi-minute SYN retry budget.
     const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -157,14 +147,15 @@ Listener& Listener::operator=(Listener&& other) noexcept {
   return *this;
 }
 
-Listener Listener::listen_on(std::uint16_t port) {
+Listener Listener::listen_on(std::uint16_t port, bool loopback_only) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) fail("socket");
+  set_cloexec(fd);
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
   struct sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
+  addr.sin_addr.s_addr = htonl(loopback_only ? INADDR_LOOPBACK : INADDR_ANY);
   addr.sin_port = htons(port);
   if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof addr) < 0) {
     const int saved = errno;
@@ -199,6 +190,7 @@ Socket Listener::accept_connection() {
       if (errno == EINTR) continue;
       fail("accept");
     }
+    set_cloexec(fd);
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     return Socket(fd);
@@ -218,11 +210,9 @@ namespace {
 [[noreturn]] void unavailable() {
   throw std::runtime_error(
       "net: TCP transport requires POSIX sockets (unavailable on this platform); "
-      "use tools/aropuf_shard for single-host sharded runs");
+      "use aropuf_shard --no-fork for single-host sharded runs");
 }
 }  // namespace
-
-bool net_available() noexcept { return false; }
 
 Socket::~Socket() { close(); }
 Socket::Socket(Socket&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
@@ -233,7 +223,6 @@ Socket& Socket::operator=(Socket&& other) noexcept {
 }
 void Socket::send_all(const void*, std::size_t) { unavailable(); }
 std::size_t Socket::recv_some(void*, std::size_t) { unavailable(); }
-bool Socket::wait_readable(int) { unavailable(); }
 void Socket::close() noexcept { fd_ = -1; }
 
 Socket tcp_connect(const std::string&, std::uint16_t, double) { unavailable(); }
@@ -248,7 +237,7 @@ Listener& Listener::operator=(Listener&& other) noexcept {
   other.fd_ = -1;
   return *this;
 }
-Listener Listener::listen_on(std::uint16_t) { unavailable(); }
+Listener Listener::listen_on(std::uint16_t, bool) { unavailable(); }
 Socket Listener::accept_connection() { unavailable(); }
 void Listener::close() noexcept { fd_ = -1; }
 

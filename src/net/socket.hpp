@@ -8,10 +8,13 @@
 // through the coordinator's reassignment path rather than its error path.
 //
 // Platform: POSIX only.  On _WIN32 the header still compiles (so targets that
-// merely link aropuf_net build everywhere) but aropuf_net_available() is
-// false and every entry point throws; tools print a clear message instead of
-// half-working.  The sharded single-host path (tools/aropuf_shard.cpp) is the
-// supported Windows story.
+// merely link aropuf_net build everywhere) but every entry point throws;
+// aropuf_shard --no-fork (in-process shards, no sockets) is the supported
+// Windows story.
+//
+// Every descriptor created here is close-on-exec, so a coordinator that
+// starts local workers never leaks its listener or its connections into
+// them.
 #pragma once
 
 #include <cstddef>
@@ -19,9 +22,6 @@
 #include <string>
 
 namespace aropuf::net {
-
-/// True when this build carries a working TCP transport.
-[[nodiscard]] bool net_available() noexcept;
 
 /// Movable owner of one connected TCP socket.
 class Socket {
@@ -54,9 +54,6 @@ class Socket {
   /// orderly peer close; throws std::runtime_error on socket errors.
   [[nodiscard]] std::size_t recv_some(void* buf, std::size_t size);
 
-  /// Waits up to `timeout_ms` for readability.  Returns false on timeout.
-  [[nodiscard]] bool wait_readable(int timeout_ms);
-
   /// Closes the descriptor now (idempotent); valid() becomes false.
   void close() noexcept;
 
@@ -69,12 +66,14 @@ class Socket {
 [[nodiscard]] Socket tcp_connect(const std::string& host, std::uint16_t port,
                                  double timeout_s);
 
-/// Listening TCP endpoint bound to the loopback-reachable wildcard address.
+/// Listening TCP endpoint on the IPv4 wildcard address or on 127.0.0.1.
 class Listener {
  public:
   /// Binds and listens on `port` (0 = kernel-assigned ephemeral port, read it
-  /// back via port()).  Throws std::runtime_error on failure.
-  [[nodiscard]] static Listener listen_on(std::uint16_t port);
+  /// back via port()): on 127.0.0.1 when `loopback_only` (a coordinator that
+  /// serves only workers it started itself), on every interface otherwise.
+  /// Throws std::runtime_error on failure.
+  [[nodiscard]] static Listener listen_on(std::uint16_t port, bool loopback_only);
 
   /// An invalid (unbound) listener; valid() is false.
   Listener() = default;

@@ -32,10 +32,9 @@ std::string default_worker_name(const WorkerConfig& config) {
 #endif
 }
 
-/// Sends one HEARTBEAT frame carrying the standard heartbeat schema (the
-/// same document shape the on-disk progress JSONL uses, so one validator
-/// covers both).  Send failures are swallowed: progress is advisory and a
-/// dead socket will surface on the next blocking read anyway.
+/// Sends one HEARTBEAT frame carrying the heartbeat schema
+/// (telemetry/progress.hpp).  Send failures are swallowed: progress is
+/// advisory and a dead socket will surface on the next blocking read anyway.
 void send_heartbeat(Socket& socket, int shard, const std::string& stage, std::int64_t done,
                     std::int64_t total, std::int64_t start_ms) {
   telemetry::Heartbeat beat;

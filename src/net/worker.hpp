@@ -3,7 +3,7 @@
 //
 // The transport loop lives here; the *work* is injected as a JobRunner
 // callback so this module never depends on the simulation layers —
-// tools/aropuf_fleet.cpp wires in sim/shard_study's in-process job runner,
+// tools/aropuf_shard.cpp wires in sim/shard_study's in-process job runner,
 // and the loopback tests wire in stubs.  Heartbeats ride the same connection:
 // the runner's progress hook is forwarded as HEARTBEAT frames, which is what
 // feeds the coordinator's liveness timeout while a long shard computes.
@@ -57,7 +57,7 @@ using JobRunner = std::function<std::string(
     const std::function<void(const std::string& stage, std::int64_t done, std::int64_t total)>&
         progress)>;
 
-/// Exit statuses of run_worker (also the aropuf_fleet worker-mode exit code).
+/// Exit statuses of run_worker (also the aropuf_shard worker-mode exit code).
 enum class WorkerExit {
   kBye = 0,        ///< coordinator sent BYE: clean shutdown
   kLost = 1,       ///< connection failed or was cut

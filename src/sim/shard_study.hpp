@@ -123,7 +123,7 @@ using StudyProgressFn = std::function<void(const std::string&, std::int64_t, std
 /// ARPB container bytes when `binary`, the pretty-printed JSON document
 /// otherwise.  These are the exact bytes a file-writing worker would have
 /// put on disk, which is what lets fleet workers (net/worker via
-/// tools/aropuf_fleet) stream results over TCP and still merge
+/// tools/aropuf_shard) stream results over TCP and still merge
 /// bit-identically to a single-process run.  Resets process-wide telemetry
 /// state first (run record + metrics), so each call produces an honest
 /// per-shard manifest even when one process serves many jobs back to back.

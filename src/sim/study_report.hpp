@@ -1,8 +1,7 @@
-// Derived reporting over a merged study aggregate — shared by every
-// orchestrator front end (tools/aropuf_shard locally, tools/aropuf_fleet over
-// TCP).  Both tools must emit the identical study section and apply the
-// identical --check-single verification, so the logic lives here rather than
-// in either tool.
+// Derived reporting over a merged study aggregate: the study section and the
+// --check-single verification tools/aropuf_shard applies on every path
+// (local workers, remote workers, in-process).  It lives here rather than in
+// the tool so it stays unit-testable.
 #pragma once
 
 #include <string>

@@ -508,21 +508,6 @@ GaugePolicy gauge_merge_policy(const std::string& name) {
   return GaugePolicy::kMax;
 }
 
-ShardManifest load_shard_manifest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) fail(path, "cannot open file");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in.good() && !in.eof()) fail(path, "read error");
-  JsonValue doc;
-  try {
-    doc = JsonValue::parse(buffer.str());
-  } catch (const std::exception& e) {
-    fail(path, std::string("malformed or truncated manifest: ") + e.what());
-  }
-  return validate_shard(std::move(doc), path);
-}
-
 ShardManifest wrap_shard_manifest(JsonValue doc, const std::string& path) {
   return validate_shard(std::move(doc), path);
 }
@@ -575,7 +560,8 @@ DecodedShard load_shard_input(const std::string& path) {
 }
 
 bool shard_manifest_is_valid(const std::string& path, const std::string& expect_run,
-                             int expect_index, int expect_count, std::string* why) {
+                             int expect_index, int expect_count, const JsonValue& expect_config,
+                             std::string* why) {
   try {
     const ShardManifest shard = load_shard_input(path).manifest;
     if (shard.doc.string_or("run", "") != expect_run) {
@@ -584,6 +570,10 @@ bool shard_manifest_is_valid(const std::string& path, const std::string& expect_
     }
     if (shard.shard_index != expect_index || shard.shard_count != expect_count) {
       if (why != nullptr) *why = "shard coordinates mismatch";
+      return false;
+    }
+    if (!shard.doc.contains("config") || shard.doc.at("config").dump() != expect_config.dump()) {
+      if (why != nullptr) *why = "study config mismatch";
       return false;
     }
     return true;

@@ -69,11 +69,6 @@ struct ShardManifest {
   JsonValue doc;             ///< the full manifest document
 };
 
-/// Parses and structurally validates one shard manifest file.  Throws
-/// std::runtime_error with a path-prefixed message on unreadable files,
-/// malformed/truncated JSON, wrong schema, or a missing "shard" descriptor.
-[[nodiscard]] ShardManifest load_shard_manifest(const std::string& path);
-
 /// One decoded sample-series slice with its values out of band.  The binary
 /// transport (telemetry/binfmt.hpp) produces these directly; the JSON path
 /// builds them by pulling the embedded value arrays out of the document, so
@@ -113,16 +108,19 @@ struct DecodedShard {
 [[nodiscard]] DecodedShard decode_shard_input(std::string bytes, const std::string& origin);
 
 /// Wraps an in-memory manifest document (tests, the in-process worker path).
-/// Performs the same structural validation as load_shard_manifest.
+/// Performs the same structural validation as load_shard_input.
 [[nodiscard]] ShardManifest wrap_shard_manifest(JsonValue doc,
                                                 const std::string& path = "<memory>");
 
 /// Non-throwing validity probe used by the orchestrator's --resume mode: true
 /// when `path` holds a well-formed shard manifest (either transport format)
-/// for shard `expect_index` of `expect_count` with a matching run name.  On
-/// failure, `*why` (when given) receives a one-line reason.
+/// for shard `expect_index` of `expect_count` with a matching run name and a
+/// "config" echo equal to `expect_config` — a shard of another study (other
+/// seed, population, or checkpoints) in the same directory must re-run, not
+/// fold.  On failure, `*why` (when given) receives a one-line reason.
 [[nodiscard]] bool shard_manifest_is_valid(const std::string& path, const std::string& expect_run,
                                            int expect_index, int expect_count,
+                                           const JsonValue& expect_config,
                                            std::string* why = nullptr);
 
 /// One provenance mismatch across shards: which field disagreed and each

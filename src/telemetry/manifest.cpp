@@ -188,15 +188,6 @@ bool write_manifest(const std::string& path, const std::string& run_name, JsonVa
   return true;
 }
 
-bool write_manifest_binary(const std::string& path, const std::string& run_name,
-                           JsonValue config, const std::vector<BinarySeries>& series) {
-  const JsonValue doc = build_manifest(run_name, std::move(config));
-  if (!write_binary_shard_manifest(path, doc, series)) return false;
-  ARO_LOG_INFO("manifest", "binary manifest written", {"path", JsonValue(path)},
-               {"run", JsonValue(run_name)});
-  return true;
-}
-
 std::string manifest_path_from_env() {
   const char* env = cli::env_value("AROPUF_MANIFEST");
   return env != nullptr ? std::string(env) : std::string();

@@ -83,14 +83,6 @@ class StageTimer {
 /// logs at error level when the file cannot be written.
 bool write_manifest(const std::string& path, const std::string& run_name, JsonValue config);
 
-/// Binary-transport twin of write_manifest for shard workers: assembles the
-/// same manifest document (whose "results" runtime field must carry sample
-/// headers only — no embedded value arrays) and writes it as a binfmt
-/// container with `series` supplying the packed values.  Returns false and
-/// logs at error level on encode or write failure.
-bool write_manifest_binary(const std::string& path, const std::string& run_name,
-                           JsonValue config, const std::vector<BinarySeries>& series);
-
 /// Path requested via AROPUF_MANIFEST, or "" when unset.
 [[nodiscard]] std::string manifest_path_from_env();
 

@@ -188,7 +188,7 @@ class ResourceSampler {
 /// Starts the env-driven process profile: a whole-run CounterReader, plus a
 /// ResourceSampler when AROPUF_PROF=on or AROPUF_PROF_RESOURCE is set
 /// (cadence from AROPUF_PROF_INTERVAL_MS).  Idempotent.  Drivers (benches,
-/// aropuf_shard, aropuf_fleet) call this once after CLI parsing; library
+/// aropuf_shard, aropuf_auth) call this once after CLI parsing; library
 /// code never does.
 void start_process_profile();
 

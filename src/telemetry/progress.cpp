@@ -1,21 +1,9 @@
 #include "telemetry/progress.hpp"
 
-#include <chrono>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
 namespace aropuf::telemetry {
-
-namespace {
-
-std::int64_t now_unix_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 JsonValue heartbeat_to_json(const Heartbeat& beat) {
   JsonValue::Object obj;
@@ -40,68 +28,6 @@ Heartbeat heartbeat_from_json(const JsonValue& line) {
     throw std::runtime_error("heartbeat fields out of range");
   }
   return beat;
-}
-
-ProgressWriter::ProgressWriter(std::string path, int shard)
-    : path_(std::move(path)), shard_(shard), start_unix_ms_(now_unix_ms()) {}
-
-bool ProgressWriter::beat(const std::string& stage, std::int64_t done, std::int64_t total) {
-  if (path_.empty()) return true;
-  Heartbeat beat;
-  beat.ts_unix_ms = now_unix_ms();
-  beat.shard = shard_;
-  beat.stage = stage;
-  beat.done = done;
-  beat.total = total;
-  beat.elapsed_ms = static_cast<double>(beat.ts_unix_ms - start_unix_ms_);
-  // One line per open: std::ios::app maps to O_APPEND, so concurrent shard
-  // writers interleave at line granularity, never mid-line (short writes).
-  std::ofstream out(path_, std::ios::app);
-  if (!out.is_open()) return false;
-  out << heartbeat_to_json(beat).dump() << '\n';
-  out.flush();
-  return static_cast<bool>(out);
-}
-
-ProgressReader::ProgressReader(std::string path) : path_(std::move(path)) {}
-
-std::vector<Heartbeat> ProgressReader::poll() {
-  std::vector<Heartbeat> beats;
-  std::ifstream in(path_, std::ios::binary);
-  if (!in.is_open()) return beats;
-  in.seekg(offset_);
-  if (!in.good()) return beats;
-  std::string chunk((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  offset_ += static_cast<std::int64_t>(chunk.size());
-  partial_ += chunk;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t nl = partial_.find('\n', start);
-    if (nl == std::string::npos) break;
-    const std::string line = partial_.substr(start, nl - start);
-    start = nl + 1;
-    if (line.empty()) continue;
-    try {
-      beats.push_back(heartbeat_from_json(JsonValue::parse(line)));
-    } catch (const std::exception&) {
-      ++malformed_;  // torn or foreign line: skip, never abort the HUD
-      // A writer that died mid-append leaves a torn fragment with no newline;
-      // the next healthy writer's O_APPEND line lands directly behind it, so
-      // the merged "line" reads "<fragment>{good beat}".  Recover the good
-      // suffix — the fragment costs one malformed count, never a live beat.
-      std::size_t brace = line.find('{', 1);
-      while (brace != std::string::npos) {
-        try {
-          beats.push_back(heartbeat_from_json(JsonValue::parse(line.substr(brace))));
-          break;
-        } catch (const std::exception&) {
-        }
-        brace = line.find('{', brace + 1);
-      }
-    }
-  }
-  partial_.erase(0, start);
-  return beats;
 }
 
 double EtaEstimator::eta_seconds(double done, double total, double elapsed_s) const noexcept {

@@ -1,23 +1,17 @@
-// Cross-process progress heartbeats for sharded runs.
+// Progress heartbeats for sharded runs, and the ETA estimate built on them.
 //
-// Each shard worker appends one JSON line per milestone to a shared progress
-// file; the orchestrator tails the file and renders a terminal HUD (or plain
-// log lines when stdout is not a TTY).  The format is append-only JSONL so
-// concurrent writers need no coordination beyond O_APPEND semantics: every
-// heartbeat is a single short write, well under any practical atomic-append
-// limit, and the reader tolerates a torn or malformed line by skipping it.
-//
-// Heartbeat line schema (validated by scripts/validate_manifest.py
-// --progress):
+// A fleet worker reports milestones of its running shard job; the worker
+// loop (net/worker) ships each one to the coordinator as a HEARTBEAT frame,
+// whose payload is this schema (DESIGN.md §11):
 //   {"ts_unix_ms": ..., "shard": k, "stage": "e2.aro", "done": u,
 //    "total": U, "elapsed_ms": ...}
 // `done`/`total` count abstract work units (the study defines them); `stage`
-// is a short dotted label; "done" and "failed" are reserved terminal stages.
+// is a short dotted label.  Heartbeats also feed the coordinator's liveness
+// timeout, and the orchestrator's HUD turns them into an ETA.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/json.hpp"
 
@@ -26,7 +20,7 @@ namespace aropuf::telemetry {
 struct Heartbeat {
   std::int64_t ts_unix_ms = 0;  ///< wall-clock stamp of the beat
   int shard = 0;                ///< shard index of the reporting worker
-  std::string stage;            ///< current milestone ("done"/"failed" terminal)
+  std::string stage;            ///< current milestone label
   std::int64_t done = 0;        ///< work units completed so far
   std::int64_t total = 0;       ///< work units this shard owns in total
   double elapsed_ms = 0.0;      ///< worker-local elapsed wall time
@@ -36,40 +30,18 @@ struct Heartbeat {
 /// Throws std::invalid_argument / std::runtime_error on schema mismatch.
 [[nodiscard]] Heartbeat heartbeat_from_json(const JsonValue& line);
 
-/// Appends heartbeats for one shard.  Each beat reopens the file in append
-/// mode and writes one line — slow-path simplicity that keeps concurrent
-/// shard writers safe without shared state.
-class ProgressWriter {
- public:
-  /// An empty path disables the writer (beat() becomes a cheap no-op).
-  ProgressWriter(std::string path, int shard);
-
-  /// Appends one heartbeat line.  Returns false when the write failed (the
-  /// run itself is unaffected: progress is advisory, results are not).
-  bool beat(const std::string& stage, std::int64_t done, std::int64_t total);
-
-  [[nodiscard]] bool enabled() const noexcept { return !path_.empty(); }
-
- private:
-  std::string path_;
-  int shard_;
-  std::int64_t start_unix_ms_;
-};
-
 /// Wall-clock ETA over abstract work units, robust to resumed runs.  Work
 /// that was already complete when tracking began (resumed/skipped shards) is
 /// pinned as a baseline and excluded from the observed rate, so the estimate
 /// reflects only work actually performed this run.  Without the baseline a
 /// resumed run credits the skipped shards' units to the current elapsed
 /// time, which inflates the apparent rate and prints a stale (far too
-/// optimistic) ETA — the orchestrators recompute the baseline from the
-/// remaining jobs instead.
+/// optimistic) ETA.
 class EtaEstimator {
  public:
   /// Registers `units` of work that were already complete before tracking
   /// began.  Additive: call once per resumed shard or once with the sum.
   void add_baseline(double units) noexcept { baseline_ += units; }
-  [[nodiscard]] double baseline() const noexcept { return baseline_; }
 
   /// Seconds remaining to reach `total` units given `done` units complete
   /// overall (baseline included) after `elapsed_s` seconds of this run.
@@ -79,27 +51,6 @@ class EtaEstimator {
 
  private:
   double baseline_ = 0.0;
-};
-
-/// Incremental reader: each poll() returns the complete, well-formed
-/// heartbeat lines appended since the previous poll.  A trailing partial
-/// line (a writer mid-append, or a byte-truncated file) is buffered until
-/// its newline arrives — never surfaced as a parse error.  Malformed
-/// complete lines are counted and skipped; when a torn fragment from a dead
-/// writer fuses with the next healthy writer's appended line, the good
-/// suffix is recovered and only the fragment counts as malformed.
-class ProgressReader {
- public:
-  explicit ProgressReader(std::string path);
-
-  [[nodiscard]] std::vector<Heartbeat> poll();
-  [[nodiscard]] std::size_t malformed_lines() const noexcept { return malformed_; }
-
- private:
-  std::string path_;
-  std::int64_t offset_ = 0;
-  std::string partial_;
-  std::size_t malformed_ = 0;
 };
 
 }  // namespace aropuf::telemetry

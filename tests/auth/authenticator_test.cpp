@@ -244,34 +244,5 @@ TEST_F(AuthenticatorTest, KeyModeEnrollAndConfirm) {
   EXPECT_FALSE(auth.verify_key(DeviceId{51}, extractor, golden).has_value());
 }
 
-// The one-release string shim must behave exactly like the DeviceId API
-// under the documented FNV-1a mapping.
-#if defined(__GNUC__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-TEST_F(AuthenticatorTest, DeprecatedStringShimForwardsThroughNameHash) {
-  const RoPuf chip = make_chip(6);
-  const auto op = chip.nominal_op();
-  auth_.enroll("device-6", chip.evaluate(op, 0));
-  const DeviceId id = Authenticator::device_id_from_name("device-6");
-  EXPECT_TRUE(auth_.knows("device-6"));
-  EXPECT_TRUE(auth_.knows(id));
-  const auto via_name = auth_.verify("device-6", chip.evaluate(op, 1));
-  const auto via_id = auth_.verify(id, chip.evaluate(op, 1));
-  ASSERT_TRUE(via_name && via_id);
-  EXPECT_DOUBLE_EQ(via_name->fractional_distance, via_id->fractional_distance);
-  EXPECT_THROW(auth_.enroll("", BitVector(8)), std::invalid_argument);
-}
-
-TEST_F(AuthenticatorTest, NameHashIsTheDocumentedFnv1a) {
-  // FNV-1a 64 of "a": (basis ^ 'a') * prime.
-  const DeviceId expected = (14695981039346656037ULL ^ 0x61ULL) * 1099511628211ULL;
-  EXPECT_EQ(Authenticator::device_id_from_name("a"), expected);
-}
-#if defined(__GNUC__)
-#pragma GCC diagnostic pop
-#endif
-
 }  // namespace
 }  // namespace aropuf

@@ -11,7 +11,10 @@
 // process-global, so two concurrent in-process jobs would interleave their
 // telemetry.  Real fleet workers are separate processes — the parallel case
 // is covered by the tools.fleet_* ctest legs driving real binaries.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -52,7 +55,7 @@ JobMsg job_template(const ShardStudyConfig& cfg, int shards, const std::string& 
   return job;
 }
 
-/// The production job body: the same runner tools/aropuf_fleet wires in.
+/// The production job body: the same runner tools/aropuf_shard wires in.
 JobRunner study_runner() {
   return [](const JobMsg& job, const auto& progress) {
     ShardStudyConfig cfg;
@@ -80,8 +83,7 @@ TEST(LoopbackTest, FleetMergeIsBitIdenticalToDirectFold) {
 
   for (const std::string format : {"binary", "json"}) {
     CoordinatorConfig config;
-    config.port = 0;
-    config.jobs = kShards;
+    config.jobs = {0, 1, 2};
     config.job_template = job_template(cfg, kShards, format);
 
     telemetry::AggregateBuilder builder(telemetry::RawSeriesPolicy::kKeep);
@@ -90,7 +92,8 @@ TEST(LoopbackTest, FleetMergeIsBitIdenticalToDirectFold) {
       builder.add(telemetry::decode_shard_input(std::move(bytes), "tcp://" + worker));
     };
 
-    Coordinator coordinator(config, std::move(callbacks));
+    Coordinator coordinator(Listener::listen_on(0, /*loopback_only=*/true), config,
+                          std::move(callbacks));
     const std::uint16_t port = coordinator.port();
     ASSERT_GT(port, 0);
 
@@ -122,8 +125,7 @@ TEST(LoopbackTest, KilledWorkerJobIsReassignedAndStillBitIdentical) {
   const int kShards = 2;
 
   CoordinatorConfig config;
-  config.port = 0;
-  config.jobs = kShards;
+  config.jobs = {0, 1};
   config.retries = 1;
   config.job_template = job_template(cfg, kShards, "binary");
 
@@ -137,7 +139,8 @@ TEST(LoopbackTest, KilledWorkerJobIsReassignedAndStillBitIdentical) {
     if (event == "retry") reassign_events.fetch_add(1);
   };
 
-  Coordinator coordinator(config, std::move(callbacks));
+  Coordinator coordinator(Listener::listen_on(0, /*loopback_only=*/true), config,
+                          std::move(callbacks));
   const std::uint16_t port = coordinator.port();
 
   std::thread workers([port] {
@@ -189,8 +192,7 @@ TEST(LoopbackTest, ObservabilityPlaneMergesTraceAndAccountsJobsAcrossAKill) {
   const int kShards = 2;
 
   CoordinatorConfig config;
-  config.port = 0;
-  config.jobs = kShards;
+  config.jobs = {0, 1};
   config.retries = 1;
   config.job_template = job_template(cfg, kShards, "binary");
   config.job_template.trace_id = "loopbacktrace001";
@@ -219,7 +221,8 @@ TEST(LoopbackTest, ObservabilityPlaneMergesTraceAndAccountsJobsAcrossAKill) {
     view.note_metrics(msg, worker, offset, now_ms());
   };
 
-  Coordinator coordinator(config, std::move(callbacks));
+  Coordinator coordinator(Listener::listen_on(0, /*loopback_only=*/true), config,
+                          std::move(callbacks));
   const std::uint16_t port = coordinator.port();
 
   std::thread workers([port] {
@@ -296,8 +299,7 @@ TEST(LoopbackTest, ObservabilityPlaneMergesTraceAndAccountsJobsAcrossAKill) {
 
 TEST(LoopbackTest, ThrowingJobConsumesRetryBudgetThenFails) {
   CoordinatorConfig config;
-  config.port = 0;
-  config.jobs = 1;
+  config.jobs = {0};
   config.retries = 1;  // 2 attempts total
   config.job_template = job_template(tiny_config(), 1, "binary");
 
@@ -307,7 +309,8 @@ TEST(LoopbackTest, ThrowingJobConsumesRetryBudgetThenFails) {
     FAIL() << "no RESULT should arrive from a runner that always throws";
   };
 
-  Coordinator coordinator(config, std::move(callbacks));
+  Coordinator coordinator(Listener::listen_on(0, /*loopback_only=*/true), config,
+                          std::move(callbacks));
   const std::uint16_t port = coordinator.port();
 
   std::thread worker_thread([port, &attempts] {
@@ -336,8 +339,7 @@ TEST(LoopbackTest, RejectedResultRoutesThroughRetryBudget) {
   // A manifest that will not fold is as fatal as a crashed worker: on_result
   // throwing must consume an attempt and redispatch.
   CoordinatorConfig config;
-  config.port = 0;
-  config.jobs = 1;
+  config.jobs = {0};
   config.retries = 1;
   config.job_template = job_template(tiny_config(), 1, "binary");
 
@@ -349,7 +351,8 @@ TEST(LoopbackTest, RejectedResultRoutesThroughRetryBudget) {
     }
   };
 
-  Coordinator coordinator(config, std::move(callbacks));
+  Coordinator coordinator(Listener::listen_on(0, /*loopback_only=*/true), config,
+                          std::move(callbacks));
   const std::uint16_t port = coordinator.port();
   std::thread worker_thread([port] {
     WorkerConfig wc;
@@ -367,8 +370,7 @@ TEST(LoopbackTest, RejectedResultRoutesThroughRetryBudget) {
 
 TEST(LoopbackTest, VersionMismatchGetsStructuredErrorThenGoodWorkerFinishes) {
   CoordinatorConfig config;
-  config.port = 0;
-  config.jobs = 1;
+  config.jobs = {0};
   config.job_template = job_template(tiny_config(), 1, "binary");
 
   CoordinatorCallbacks callbacks;
@@ -377,7 +379,8 @@ TEST(LoopbackTest, VersionMismatchGetsStructuredErrorThenGoodWorkerFinishes) {
     builder.add(telemetry::decode_shard_input(std::move(bytes), "tcp://" + worker));
   };
 
-  Coordinator coordinator(config, std::move(callbacks));
+  Coordinator coordinator(Listener::listen_on(0, /*loopback_only=*/true), config,
+                          std::move(callbacks));
   const std::uint16_t port = coordinator.port();
 
   std::thread clients([port] {
@@ -419,6 +422,85 @@ TEST(LoopbackTest, VersionMismatchGetsStructuredErrorThenGoodWorkerFinishes) {
   EXPECT_EQ(summary.jobs_done, 1);
   // The mismatched client never completed the handshake.
   EXPECT_EQ(summary.workers_seen, 1);
+}
+
+/// The IPv4 address a listener is bound to, read back with getsockname().
+std::string bound_address(const Listener& listener) {
+  struct sockaddr_in addr{};
+  socklen_t len = sizeof addr;
+  EXPECT_EQ(::getsockname(listener.fd(), reinterpret_cast<struct sockaddr*>(&addr), &len), 0);
+  char text[INET_ADDRSTRLEN] = {};
+  ::inet_ntop(AF_INET, &addr.sin_addr, text, sizeof text);
+  return text;
+}
+
+TEST(LoopbackTest, LocalListenerBindsLoopbackAndListenBindsEveryInterface) {
+  // aropuf_shard's default mode serves only the workers it started, so its
+  // coordinator must not be reachable from other hosts; --listen opens it.
+  const Listener local = Listener::listen_on(0, /*loopback_only=*/true);
+  EXPECT_EQ(bound_address(local), "127.0.0.1");
+  EXPECT_GT(local.port(), 0);
+  const Listener open = Listener::listen_on(0, /*loopback_only=*/false);
+  EXPECT_EQ(bound_address(open), "0.0.0.0");
+}
+
+TEST(LoopbackTest, OnlyTheListedShardsAreDispatched) {
+  // A resumed study hands the coordinator the shards it still lacks.
+  CoordinatorConfig config;
+  config.jobs = {2, 0};
+  config.job_template = job_template(tiny_config(), 3, "binary");
+
+  std::vector<int> dispatched;
+  std::vector<int> landed;
+  CoordinatorCallbacks callbacks;
+  callbacks.on_result = [&](int shard, std::string, const std::string&) {
+    landed.push_back(shard);
+  };
+  callbacks.on_event = [&](const std::string& event, int shard, const std::string&) {
+    if (event == "dispatch") dispatched.push_back(shard);
+  };
+  Coordinator coordinator(Listener::listen_on(0, /*loopback_only=*/true), config,
+                          std::move(callbacks));
+  const std::uint16_t port = coordinator.port();
+  std::thread worker_thread([port] {
+    WorkerConfig wc;
+    wc.host = "127.0.0.1";
+    wc.port = port;
+    EXPECT_EQ(run_worker(wc, study_runner()), WorkerExit::kBye);
+  });
+  const FleetSummary summary = coordinator.run();
+  worker_thread.join();
+  EXPECT_TRUE(summary.ok);
+  EXPECT_EQ(summary.jobs_done, 2);
+  EXPECT_EQ(dispatched, (std::vector<int>{2, 0}));
+  EXPECT_EQ(landed, (std::vector<int>{2, 0}));
+}
+
+TEST(LoopbackTest, RunWithNoWorkerAttachedReportsAStall) {
+  // No worker ever connects: the heartbeat deadline fires a shard -1
+  // "timeout", and an on_event that throws ends run() instead of a hang.
+  CoordinatorConfig config;
+  config.jobs = {0};
+  config.heartbeat_timeout_s = 0.2;
+  config.job_template = job_template(tiny_config(), 1, "binary");
+  CoordinatorCallbacks callbacks;
+  callbacks.on_event = [](const std::string& event, int shard, const std::string&) {
+    if (event == "timeout" && shard < 0) throw std::runtime_error("stalled");
+  };
+  Coordinator coordinator(Listener::listen_on(0, /*loopback_only=*/true), config,
+                          std::move(callbacks));
+  EXPECT_THROW((void)coordinator.run(), std::runtime_error);
+}
+
+TEST(LoopbackTest, MalformedJobListsAreRejected) {
+  CoordinatorConfig config;
+  config.job_template = job_template(tiny_config(), 3, "binary");
+  for (const std::vector<int>& jobs :
+       {std::vector<int>{}, std::vector<int>{0, 0}, std::vector<int>{3}, std::vector<int>{-1}}) {
+    config.jobs = jobs;
+    EXPECT_THROW(Coordinator(Listener::listen_on(0, /*loopback_only=*/true), config, {}),
+                 std::runtime_error);
+  }
 }
 
 }  // namespace

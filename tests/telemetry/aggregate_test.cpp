@@ -357,7 +357,7 @@ TEST(AggregateTest, StructuralErrorsThrow) {
 
 TEST(AggregateTest, MalformedManifestFilesAreRejectedWithPathContext) {
   const std::string missing = temp_path("missing.json");
-  EXPECT_THROW(load_shard_manifest(missing), std::runtime_error);
+  EXPECT_THROW(load_shard_input(missing), std::runtime_error);
 
   const std::string truncated = temp_path("truncated.json");
   {
@@ -365,7 +365,7 @@ TEST(AggregateTest, MalformedManifestFilesAreRejectedWithPathContext) {
     out << R"({"schema": "aropuf-run-manifest", "schema_version": 1, "run": "x", "shard")";
   }
   try {
-    (void)load_shard_manifest(truncated);
+    (void)load_shard_input(truncated);
     FAIL() << "truncated manifest should not parse";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(truncated), std::string::npos)
@@ -377,7 +377,7 @@ TEST(AggregateTest, MalformedManifestFilesAreRejectedWithPathContext) {
     std::ofstream out(wrong_schema, std::ios::trunc);
     out << R"({"schema": "something-else", "schema_version": 1, "run": "x"})";
   }
-  EXPECT_THROW(load_shard_manifest(wrong_schema), std::runtime_error);
+  EXPECT_THROW(load_shard_input(wrong_schema), std::runtime_error);
 
   // Wrapping an in-memory doc without the shard descriptor fails the same way.
   JsonValue no_shard = make_shard_doc(0, 1, 0, 4);
@@ -387,18 +387,38 @@ TEST(AggregateTest, MalformedManifestFilesAreRejectedWithPathContext) {
 
 TEST(AggregateTest, ResumeValidityProbe) {
   const std::string good = temp_path("resume_good.json");
+  const JsonValue doc = make_shard_doc(1, 3, 2, 4);
   {
     std::ofstream out(good, std::ios::trunc);
-    out << make_shard_doc(1, 3, 2, 4).dump(2);
+    out << doc.dump(2);
   }
+  const JsonValue& config = doc.at("config");
   std::string why;
-  EXPECT_TRUE(shard_manifest_is_valid(good, "test_run", 1, 3, &why)) << why;
-  EXPECT_FALSE(shard_manifest_is_valid(good, "test_run", 0, 3, &why));
+  EXPECT_TRUE(shard_manifest_is_valid(good, "test_run", 1, 3, config, &why)) << why;
+  EXPECT_FALSE(shard_manifest_is_valid(good, "test_run", 0, 3, config, &why));
   EXPECT_FALSE(why.empty());
-  EXPECT_FALSE(shard_manifest_is_valid(good, "test_run", 1, 4, nullptr));
-  EXPECT_FALSE(shard_manifest_is_valid(good, "other_run", 1, 3, nullptr));
+  EXPECT_FALSE(shard_manifest_is_valid(good, "test_run", 1, 4, config, nullptr));
+  EXPECT_FALSE(shard_manifest_is_valid(good, "other_run", 1, 3, config, nullptr));
   EXPECT_FALSE(shard_manifest_is_valid(temp_path("resume_missing.json"), "test_run", 1, 3,
-                                       &why));
+                                       config, &why));
+}
+
+TEST(AggregateTest, ResumeValidityProbeRejectsAnotherStudysShard) {
+  // Regression: a --seed 1 shard left in the output directory must not be
+  // folded into a --seed 2 --resume run just because the run name and the
+  // shard coordinates agree.
+  const std::string path = temp_path("resume_other_seed.json");
+  const JsonValue doc = make_shard_doc(1, 3, 2, 4);
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << doc.dump(2);
+  }
+  JsonValue other_seed = doc.at("config");
+  other_seed.as_object()["seed"] = JsonValue(2015);
+  std::string why;
+  EXPECT_FALSE(shard_manifest_is_valid(path, "test_run", 1, 3, other_seed, &why));
+  EXPECT_EQ(why, "study config mismatch");
+  EXPECT_TRUE(shard_manifest_is_valid(path, "test_run", 1, 3, doc.at("config"), &why)) << why;
 }
 
 TEST(AggregateTest, GaugePolicySelection) {

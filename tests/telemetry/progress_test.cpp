@@ -2,19 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <stdexcept>
-#include <string>
-#include <vector>
 
 namespace aropuf::telemetry {
 namespace {
-
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "aropuf_progress_" + name;
-}
-
-void truncate_file(const std::string& path) { std::ofstream(path, std::ios::trunc); }
 
 TEST(HeartbeatTest, JsonRoundTrip) {
   Heartbeat beat;
@@ -43,171 +34,6 @@ TEST(HeartbeatTest, RejectsOutOfRangeFields) {
   beat.total = 3;
   beat.shard = -2;
   EXPECT_THROW((void)heartbeat_from_json(heartbeat_to_json(beat)), std::exception);
-}
-
-TEST(ProgressTest, WriterAppendsReaderPolls) {
-  const std::string path = temp_path("basic.jsonl");
-  truncate_file(path);
-  ProgressWriter w0(path, 0);
-  ProgressWriter w1(path, 1);
-  ProgressReader reader(path);
-
-  EXPECT_TRUE(w0.beat("start", 0, 4));
-  EXPECT_TRUE(w1.beat("start", 0, 4));
-  auto beats = reader.poll();
-  ASSERT_EQ(beats.size(), 2u);
-  EXPECT_EQ(beats[0].shard, 0);
-  EXPECT_EQ(beats[1].shard, 1);
-
-  // Incremental: a second poll only sees what was appended in between.
-  EXPECT_TRUE(w0.beat("e2", 2, 4));
-  beats = reader.poll();
-  ASSERT_EQ(beats.size(), 1u);
-  EXPECT_EQ(beats[0].stage, "e2");
-  EXPECT_EQ(beats[0].done, 2);
-  EXPECT_TRUE(reader.poll().empty());
-}
-
-TEST(ProgressTest, PartialTrailingLineIsBufferedUntilComplete) {
-  const std::string path = temp_path("partial.jsonl");
-  truncate_file(path);
-  ProgressWriter writer(path, 0);
-  ASSERT_TRUE(writer.beat("one", 1, 2));
-
-  // Simulate a writer caught mid-append: a complete line plus a torn one.
-  const std::string torn = R"({"ts_unix_ms": 1, "shard": 0, "stage": "tw)";
-  {
-    std::ofstream out(path, std::ios::app);
-    out << torn;
-  }
-  ProgressReader reader(path);
-  auto beats = reader.poll();
-  ASSERT_EQ(beats.size(), 1u);
-  EXPECT_EQ(beats[0].stage, "one");
-  EXPECT_EQ(reader.malformed_lines(), 0u);
-
-  // The rest of the line arrives; the buffered prefix completes cleanly.
-  {
-    std::ofstream out(path, std::ios::app);
-    out << R"(o", "done": 2, "total": 2, "elapsed_ms": 5})" << "\n";
-  }
-  beats = reader.poll();
-  ASSERT_EQ(beats.size(), 1u);
-  EXPECT_EQ(beats[0].stage, "two");
-  EXPECT_EQ(reader.malformed_lines(), 0u);
-}
-
-TEST(ProgressTest, MalformedCompleteLinesAreCountedAndSkipped) {
-  const std::string path = temp_path("malformed.jsonl");
-  truncate_file(path);
-  ProgressWriter writer(path, 2);
-  ASSERT_TRUE(writer.beat("good", 0, 1));
-  {
-    std::ofstream out(path, std::ios::app);
-    out << "this is not json\n";
-    out << R"({"valid_json": "but not a heartbeat"})" << "\n";
-  }
-  ASSERT_TRUE(writer.beat("good2", 1, 1));
-
-  ProgressReader reader(path);
-  const auto beats = reader.poll();
-  ASSERT_EQ(beats.size(), 2u);
-  EXPECT_EQ(beats[0].stage, "good");
-  EXPECT_EQ(beats[1].stage, "good2");
-  EXPECT_EQ(reader.malformed_lines(), 2u);
-}
-
-TEST(ProgressTest, ByteTruncatedFileNeverThrowsAndRecoversOnCompletion) {
-  // Regression: a progress file byte-truncated at ANY position (worker died
-  // mid-write, filesystem cut the tail) must read cleanly — the partial tail
-  // is buffered, never surfaced as an error — and once the missing bytes
-  // arrive the buffered prefix completes into real beats.
-  ProgressWriter probe(temp_path("trunc_probe.jsonl"), 0);
-  truncate_file(temp_path("trunc_probe.jsonl"));
-  ASSERT_TRUE(probe.beat("alpha", 1, 2));
-  ASSERT_TRUE(probe.beat("beta", 2, 2));
-  std::string whole;
-  {
-    std::ifstream in(temp_path("trunc_probe.jsonl"), std::ios::binary);
-    whole.assign((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  }
-  ASSERT_GT(whole.size(), 2u);
-
-  const std::string path = temp_path("trunc_cut.jsonl");
-  for (std::size_t cut = 0; cut <= whole.size(); ++cut) {
-    truncate_file(path);
-    {
-      std::ofstream out(path, std::ios::binary);
-      out << whole.substr(0, cut);
-    }
-    ProgressReader reader(path);
-    std::vector<Heartbeat> beats;
-    ASSERT_NO_THROW(beats = reader.poll()) << "cut at " << cut;
-    EXPECT_LE(beats.size(), 2u) << "cut at " << cut;
-    EXPECT_EQ(reader.malformed_lines(), 0u) << "cut at " << cut;
-    // Appending the remainder completes the torn tail losslessly.
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::app);
-      out << whole.substr(cut);
-    }
-    const auto rest = reader.poll();
-    EXPECT_EQ(beats.size() + rest.size(), 2u) << "cut at " << cut;
-    EXPECT_EQ(reader.malformed_lines(), 0u) << "cut at " << cut;
-  }
-}
-
-TEST(ProgressTest, TornFragmentFusedWithNextLineRecoversTheGoodSuffix) {
-  // A writer that died mid-append leaves a newline-less fragment; the next
-  // healthy writer's O_APPEND line lands right behind it, producing one
-  // merged "line" of <fragment>{good beat}.  The reader must salvage the
-  // good beat and charge exactly one malformed line for the fragment.
-  const std::string path = temp_path("torn_fused.jsonl");
-  truncate_file(path);
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << R"({"ts_unix_ms": 9, "shard": 1, "stage": "die)";  // no newline
-  }
-  ProgressWriter writer(path, 3);
-  ASSERT_TRUE(writer.beat("alive", 1, 4));
-
-  ProgressReader reader(path);
-  const auto beats = reader.poll();
-  ASSERT_EQ(beats.size(), 1u);
-  EXPECT_EQ(beats[0].shard, 3);
-  EXPECT_EQ(beats[0].stage, "alive");
-  EXPECT_EQ(reader.malformed_lines(), 1u);
-}
-
-TEST(ProgressTest, FragmentWithBracesInStringsStillFindsTheRealSuffix) {
-  // The salvage scan retries from every '{': decoy braces inside the torn
-  // fragment's string data must not defeat it.
-  const std::string path = temp_path("torn_decoy.jsonl");
-  truncate_file(path);
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << R"({"ts_unix_ms": 9, "stage": "curly { decoy {{", "sh)";  // no newline
-  }
-  ProgressWriter writer(path, 5);
-  ASSERT_TRUE(writer.beat("rescued", 2, 2));
-
-  ProgressReader reader(path);
-  const auto beats = reader.poll();
-  ASSERT_EQ(beats.size(), 1u);
-  EXPECT_EQ(beats[0].shard, 5);
-  EXPECT_EQ(beats[0].stage, "rescued");
-  EXPECT_EQ(reader.malformed_lines(), 1u);
-}
-
-TEST(ProgressTest, DisabledWriterIsANoOp) {
-  ProgressWriter writer("", 0);
-  EXPECT_FALSE(writer.enabled());
-  EXPECT_TRUE(writer.beat("anything", 0, 0));  // no-op beats never fail the run
-}
-
-TEST(ProgressTest, ReaderOnMissingFileReturnsNothing) {
-  ProgressReader reader(temp_path("never_written.jsonl"));
-  EXPECT_TRUE(reader.poll().empty());
-  EXPECT_EQ(reader.malformed_lines(), 0u);
 }
 
 TEST(EtaEstimatorTest, FreshRunMatchesLinearExtrapolation) {

@@ -15,14 +15,13 @@
 //   $ aropuf_auth --store runs/fleet-1m/store.arps --requests 200000 --threads 1,4 --cache 4096
 //
 // Exit codes: 0 ok, 1 failure, 2 usage error, 3 determinism mismatch.
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <exception>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,17 +31,12 @@
 #include "auth/store_binary.hpp"
 #include "common/cli.hpp"
 #include "common/json.hpp"
+#include "self_exec.hpp"
 #include "sim/parallel.hpp"
 #include "telemetry/manifest.hpp"
 
-#if !defined(_WIN32)
-#include <sys/stat.h>
-#include <sys/types.h>
+#if defined(AROPUF_HAVE_FORK)
 #include <sys/wait.h>
-#include <unistd.h>
-#define AROPUF_HAVE_FORK 1
-#else
-#include <direct.h>
 #endif
 
 namespace {
@@ -97,14 +91,6 @@ bool parse_thread_list(const std::string& value, std::vector<int>* out) {
   return true;
 }
 
-bool make_output_dir(const std::string& path) {
-#if defined(_WIN32)
-  return _mkdir(path.c_str()) == 0 || errno == EEXIST;
-#else
-  return ::mkdir(path.c_str(), 0777) == 0 || errno == EEXIST;
-#endif
-}
-
 std::string shard_store_path(const Options& opt, int index) {
   return opt.out_dir + "/shard-" + std::to_string(index) + ".arps";
 }
@@ -123,58 +109,18 @@ FleetConfig fleet_from_options(const Options& opt) {
 #if defined(AROPUF_HAVE_FORK)
 /// Spawns one shard-build worker: self-exec with hidden --worker plumbing.
 long spawn_worker(const std::string& exe, const Options& opt, int index) {
-  std::vector<std::string> args = {
-      exe,
-      "--build",
-      "--worker",
-      "--shard-index",
-      std::to_string(index),
-      "--shards",
-      std::to_string(opt.shards),
-      "--devices",
-      std::to_string(opt.devices),
-      "--bits",
-      std::to_string(opt.bits),
-      "--model",
-      opt.model,
-      "--seed",
-      std::to_string(opt.seed),
-      "--out",
-      opt.out_dir,
-  };
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& a : args) argv.push_back(a.data());
-  argv.push_back(nullptr);
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    std::fprintf(stderr, "aropuf_auth: fork failed: %s\n", std::strerror(errno));
-    return -1;
-  }
-  if (pid == 0) {
-    ::execv(exe.c_str(), argv.data());
-    std::fprintf(stderr, "aropuf_auth: exec %s failed: %s\n", exe.c_str(), std::strerror(errno));
-    ::_exit(127);
-  }
-  return pid;
-}
-
-/// Resolves the path this binary can be re-exec'd from.
-std::string self_executable(const char* argv0) {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return buf;
-  }
-  return argv0;
+  return tools::spawn_process(
+      "aropuf_auth",
+      {exe, "--build", "--worker", "--shard-index", std::to_string(index), "--shards",
+       std::to_string(opt.shards), "--devices", std::to_string(opt.devices), "--bits",
+       std::to_string(opt.bits), "--model", opt.model, "--seed", std::to_string(opt.seed),
+       "--out", opt.out_dir});
 }
 
 /// Runs shard builds as child processes, at most opt.jobs concurrently, with
 /// one retry per shard.  Returns true when every shard store landed.
 bool build_shards_forked(const Options& opt, const char* argv0) {
-  const std::string exe = self_executable(argv0);
+  const std::string exe = tools::self_executable(argv0);
   std::deque<int> pending;
   for (int k = 0; k < opt.shards; ++k) pending.push_back(k);
   std::vector<int> attempts(static_cast<std::size_t>(opt.shards), 0);
@@ -230,8 +176,11 @@ int run_build(const Options& opt, const char* argv0) {
     return 0;
   }
 
-  if (!make_output_dir(opt.out_dir)) {
-    std::fprintf(stderr, "aropuf_auth: cannot create %s\n", opt.out_dir.c_str());
+  std::error_code mkdir_error;
+  std::filesystem::create_directories(opt.out_dir, mkdir_error);
+  if (mkdir_error) {
+    std::fprintf(stderr, "aropuf_auth: cannot create %s: %s\n", opt.out_dir.c_str(),
+                 mkdir_error.message().c_str());
     return 1;
   }
 

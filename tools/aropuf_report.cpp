@@ -53,7 +53,7 @@ int parse_args(int argc, char** argv, Options* opt) {
       .opt_string("--dump", &opt->dump_path, "PATH",
                   "decode a shard manifest (JSON or binary) and print it as JSON")
       .opt_string("--fleet-metrics", &opt->fleet_metrics_path, "PATH",
-                  "fleet_metrics.json from aropuf_fleet: adds a fleet-health section");
+                  "fleet_metrics.json from aropuf_shard: adds a fleet-health section");
   switch (parser.parse(argc, argv)) {
     case cli::ParseStatus::kHelp:
       std::exit(0);

@@ -1,40 +1,45 @@
-// aropuf_shard: sharded-run orchestrator for the E2+E3 population study.
+// aropuf_shard: orchestrator for the sharded E2+E3 population study.
 //
-// One binary, two modes:
+// The chip population splits into --shards seed-range shards (sim/shard_study).
+// One binary runs them four ways:
 //
-//  * orchestrator (default) — splits the chip population into --shards
-//    seed-range shards and runs each as a child worker process (self-exec
-//    with --worker --shard k/N), bounded by --jobs.  Workers write ordinary
-//    run manifests extended with a "shard" descriptor and a "results"
-//    payload; the orchestrator merges them (telemetry/aggregate.hpp) into
-//    one aggregate manifest and derives the ECC/area study from the merged
-//    statistics.  Failed or timed-out shards are retried (--retries);
-//    --resume skips shards whose manifest already validates.  Live progress
-//    arrives over an append-only JSONL heartbeat file and renders as a
-//    terminal HUD (plain log lines when stdout is not a TTY).
+//  * default — binds the ARPF coordinator (net/coordinator, DESIGN.md §11) on
+//    127.0.0.1 at an ephemeral port and starts --jobs copies of itself as
+//    local workers (--worker 127.0.0.1:PORT).  The coordinator dispatches,
+//    retries (--retries) and reassigns the jobs of workers that fall silent
+//    (--worker-timeout).  A local worker that disconnects while jobs remain
+//    — it crashed, or was dropped for a heartbeat timeout — is killed,
+//    reaped and replaced.
+//  * --listen PORT — the same coordinator on every interface, so remote
+//    workers can join; --jobs 0 means remote workers only.
+//  * --worker HOST:PORT — serve shard jobs for a coordinator.  Every JOB
+//    carries the full study parameterization, so a worker needs no other
+//    configuration.
+//  * --no-fork — run the shards sequentially in this process.  Forced where
+//    sockets or fork are missing (Windows).
 //
-//  * worker (--worker, spawned internally) — runs one shard of the study
-//    and writes its manifest + heartbeats.  Workers take every parameter on
-//    the command line, never from inherited environment, so a shard's
-//    manifest is reproducible from its argv alone.
+// Every path lands a shard the same way (run_study's `land`): persist the
+// manifest container into --out, decode it, and fold it into one
+// AggregateBuilder as it arrives.  --resume folds the shards whose manifest on disk still
+// validates (run name, shard coordinates, study config) and runs only the
+// rest; when nothing is missing no worker starts.  The merged manifest plus
+// the ECC/area study section derived from it land in
+// --out/merged.manifest.json.  Coordinator runs also write fleet_trace.json,
+// fleet_metrics.json and fleet_metrics.prom into --out, failed runs too.
 //
-// Process spawning is POSIX (fork/exec); on platforms without it the
-// orchestrator falls back to --no-fork, which runs shards sequentially
-// in-process (telemetry state is reset between shards so each "virtual
-// worker" still produces an honest per-shard manifest).
-//
-// Exit codes: 0 success; 1 shard failure, unreadable manifests, provenance
-// conflicts, or write errors; 2 usage error; 3 --check-single mismatch
-// (shard-merged statistics differ from the single-process run — a
-// determinism regression, never acceptable).
+// Exit codes: 0 success; 1 failed shards, fold errors, provenance conflicts
+// or write errors; 2 usage error; 3 --check-single mismatch (the merged
+// statistics differ from a single-process run — a determinism regression,
+// never acceptable).  Worker mode exits with the WorkerExit status.
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <deque>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -44,25 +49,24 @@
 
 #include "common/cli.hpp"
 #include "common/json.hpp"
+#include "net/coordinator.hpp"
+#include "net/fleet_view.hpp"
+#include "net/socket.hpp"
+#include "net/worker.hpp"
+#include "self_exec.hpp"
 #include "sim/parallel.hpp"
-#include "sim/scenarios.hpp"
 #include "sim/shard_study.hpp"
 #include "sim/study_report.hpp"
 #include "telemetry/aggregate.hpp"
 #include "telemetry/manifest.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/progress.hpp"
 #include "telemetry/prof.hpp"
+#include "telemetry/progress.hpp"
+#include "telemetry/trace.hpp"
 
-#if !defined(_WIN32)
+#if defined(AROPUF_HAVE_FORK)
 #include <signal.h>
-#include <sys/stat.h>
-#include <sys/types.h>
 #include <sys/wait.h>
-#include <unistd.h>
-#define AROPUF_HAVE_FORK 1
-#else
-#include <direct.h>
 #endif
 
 namespace {
@@ -71,35 +75,33 @@ using namespace aropuf;
 using Clock = std::chrono::steady_clock;
 
 struct Options {
-  // Study parameters (shared orchestrator/worker; echoed into worker argv).
+  // Study parameters (shipped to workers inside each JOB).
   int chips = 40;
   std::uint64_t seed = 2014;
   std::vector<double> checkpoints = {1.0, 2.0, 5.0, 10.0};
   std::string run = "shard_study";
-  int threads = 0;  ///< per-worker thread count; 0 = library default
+  std::string format = "binary";  ///< shard manifest transport: "binary" or "json"
 
-  // Orchestrator parameters.
+  // Orchestration.
   int shards = 4;
-  int jobs = 0;  ///< 0 = min(shards, hardware_concurrency)
+  int jobs = -1;         ///< local workers; -1 = min(shards, cores), 0 = remote only
+  int listen_port = -1;  ///< -1 = loopback coordinator for local workers only
+  std::string port_file;
   std::string out_dir = "shard-run";
   bool resume = false;
-  double timeout_s = 0.0;  ///< 0 = no timeout
   int retries = 1;
+  double worker_timeout_s = 60.0;
+  double timeout_s = 0.0;  ///< whole run; 0 = none
   bool no_fork = false;
+  bool drop_raw = false;
   bool check_single = false;
   bool quiet = false;
-  bool stream = false;    ///< fold each shard manifest as its worker lands
-  bool drop_raw = false;  ///< free raw per-chip series once reduced
-  /// Shard-manifest transport: "json", "binary", or "" = auto (binary for
-  /// --stream runs — that is the million-chip path the format exists for —
-  /// JSON otherwise).  The merged aggregate manifest is always JSON.
-  std::string format;
 
-  // Worker parameters (internal).
-  bool worker = false;
-  int shard_index = 0;
-  std::string manifest_path;
-  std::string progress_path;
+  // Worker mode.
+  std::string worker_spec;  ///< "HOST:PORT"; non-empty selects worker mode
+  std::string worker_name;
+  int threads = 0;  ///< threads per worker; 0 = library default
+  bool abort_first_job = false;  ///< test hook (hidden)
 };
 
 bool parse_checkpoints(const std::string& csv, std::vector<double>* out) {
@@ -118,61 +120,62 @@ bool parse_checkpoints(const std::string& csv, std::vector<double>* out) {
   return true;
 }
 
-/// Parses "k/N" (worker shard coordinates).
-bool parse_shard_spec(const std::string& spec, int* index, int* count) {
-  const std::size_t slash = spec.find('/');
-  if (slash == std::string::npos) return false;
+/// Parses "HOST:PORT" (worker connect target).  The last ':' splits, so IPv6
+/// literals work unbracketed as long as the port is present.
+bool parse_hostport(const std::string& spec, std::string* host, std::uint16_t* port) {
+  const std::size_t colon = spec.rfind(':');
+  if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) return false;
+  // `digits` must outlive `end`, which points into it.
+  const std::string digits = spec.substr(colon + 1);
   char* end = nullptr;
-  const long k = std::strtol(spec.substr(0, slash).c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  const long n = std::strtol(spec.substr(slash + 1).c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  if (n < 1 || k < 0 || k >= n) return false;
-  *index = static_cast<int>(k);
-  *count = static_cast<int>(n);
+  const long p = std::strtol(digits.c_str(), &end, 10);
+  if (end == nullptr || *end != '\0' || p < 1 || p > 65535) return false;
+  *host = spec.substr(0, colon);
+  *port = static_cast<std::uint16_t>(p);
   return true;
 }
 
 /// Returns 0 on success, 2 on usage error (with a message on stderr).
 int parse_args(int argc, char** argv, Options* opt) {
-  cli::Parser parser("aropuf_shard",
-                     "sharded-run orchestrator for the E2+E3 population study");
+  cli::Parser parser("aropuf_shard", "orchestrator for the sharded E2+E3 population study");
   parser
       .opt_int("--chips", &opt->chips, "N", "total chip population (default 40)", 2)
       .opt_uint64("--seed", &opt->seed, "S", "master RNG seed (default 2014)")
       .opt_custom("--checkpoints", "CSV", "aging years, non-decreasing (default 1,2,5,10)",
                   [opt](const std::string& v) { return parse_checkpoints(v, &opt->checkpoints); })
-      .opt_int("--shards", &opt->shards, "K", "number of shards (default 4)", 1)
-      .opt_int("--jobs", &opt->jobs, "J", "concurrent workers (default min(K, cores))", 1)
-      .opt_int("--threads", &opt->threads, "T", "threads per worker (default: library default)",
-               1)
-      .opt_string("--out", &opt->out_dir, "DIR", "output directory (default shard-run)")
       .opt_string("--run", &opt->run, "NAME", "run name in manifests (default shard_study)")
-      .flag("--resume", &opt->resume, "skip shards whose manifest already validates")
+      .opt_int("--shards", &opt->shards, "K", "number of shards (default 4)", 1)
+      .opt_int("--jobs", &opt->jobs, "J",
+               "local workers (default min(K, cores); 0 = remote workers only, needs --listen)",
+               0)
+      .opt_int("--listen", &opt->listen_port, "PORT",
+               "serve remote workers on every interface at PORT (0 = kernel-assigned)", 0)
+      .opt_string("--port-file", &opt->port_file, "PATH",
+                  "write the coordinator's bound port to PATH once listening")
+      .opt_string("--out", &opt->out_dir, "DIR", "output directory (default shard-run)")
+      .flag("--resume", &opt->resume, "fold shards whose manifest already validates; run the rest")
+      .opt_int("--retries", &opt->retries, "R", "retries per failed shard job (default 1)", 0)
+      .opt_double("--worker-timeout", &opt->worker_timeout_s, "SEC",
+                  "reassign a silent busy worker's job after SEC seconds (default 60, 0 = never)",
+                  0.0)
       .opt_double("--timeout", &opt->timeout_s, "SEC",
-                  "kill a worker after SEC seconds (default: none)", 0.0)
-      .opt_int("--retries", &opt->retries, "R", "retries per failed shard (default 1)", 0)
-      .flag("--stream", &opt->stream, "fold each shard manifest as its worker lands")
+                  "abort a coordinator run after SEC seconds (default: none)", 0.0)
+      .flag("--no-fork", &opt->no_fork, "run shards sequentially in this process")
+      .opt_string("--format", &opt->format, "FMT",
+                  "shard manifest transport: binary or json (default binary)")
       .flag("--drop-raw", &opt->drop_raw,
             "drop raw per-chip series once reduced (aggregate omits them)")
-      .flag("--no-fork", &opt->no_fork, "run shards sequentially in this process")
       .flag("--check-single", &opt->check_single, "verify merged results == single-process run")
-      .opt_string("--format", &opt->format, "FMT",
-                  "shard manifest transport: json or binary (default: binary for "
-                  "--stream runs, json otherwise)")
-      .flag("--quiet", &opt->quiet, "plain log lines even on a TTY")
+      .flag("--quiet", &opt->quiet, "suppress per-event narration")
+      .opt_string("--worker", &opt->worker_spec, "HOST:PORT",
+                  "worker mode: serve shard jobs for the coordinator at HOST:PORT")
+      .opt_string("--name", &opt->worker_name, "NAME", "worker display name (default host:pid)")
+      .opt_int("--threads", &opt->threads, "T", "threads per worker (default: library default)",
+               1)
       .with_env_help();
-  // Worker-mode plumbing, spawned internally: parsed but kept out of --help.
-  parser.flag("--worker", &opt->worker, "run one shard (internal)").hidden();
-  parser
-      .opt_custom("--shard", "K/N", "worker shard coordinates (internal)",
-                  [opt](const std::string& v) {
-                    return parse_shard_spec(v, &opt->shard_index, &opt->shards);
-                  })
-      .hidden();
-  parser.opt_string("--manifest", &opt->manifest_path, "PATH", "worker manifest path (internal)")
-      .hidden();
-  parser.opt_string("--progress", &opt->progress_path, "PATH", "heartbeat JSONL path (internal)")
+  // Deterministic killed-worker simulation for the e2e tests: hard-close the
+  // connection on the first assigned job.  Parsed but kept out of --help.
+  parser.flag("--abort-first-job", &opt->abort_first_job, "abort on first job (test hook)")
       .hidden();
 
   switch (parser.parse(argc, argv)) {
@@ -183,24 +186,27 @@ int parse_args(int argc, char** argv, Options* opt) {
     case cli::ParseStatus::kOk:
       break;
   }
-  if (opt->worker && opt->manifest_path.empty()) {
-    std::fprintf(stderr, "aropuf_shard: --worker requires --manifest\n");
+  const auto usage = [](const char* message) {
+    std::fprintf(stderr, "aropuf_shard: %s\n", message);
     return 2;
+  };
+  if (opt->format != "binary" && opt->format != "json") {
+    return usage("--format must be binary or json");
   }
-  if (!opt->format.empty() && opt->format != "json" && opt->format != "binary") {
-    std::fprintf(stderr, "aropuf_shard: --format must be 'json' or 'binary' (got '%s')\n",
-                 opt->format.c_str());
-    return 2;
+  if (opt->listen_port > 65535) return usage("--listen port out of range");
+  const bool listen = opt->listen_port >= 0;
+  if (!opt->worker_spec.empty() && (listen || opt->no_fork)) {
+    return usage("--worker cannot be combined with --listen or --no-fork");
   }
+  if (listen && opt->no_fork) return usage("--listen cannot be combined with --no-fork");
+  if (opt->jobs == 0 && !listen) return usage("--jobs 0 needs --listen (remote workers only)");
+#if !defined(AROPUF_HAVE_FORK)
+  if (!opt->worker_spec.empty() || listen) {
+    return usage("fleet runs need POSIX sockets; this platform runs shards with --no-fork only");
+  }
+  opt->no_fork = true;
+#endif
   return 0;
-}
-
-/// Resolves the "" auto default: the binary transport exists for the
-/// streaming (large-population) path, so --stream implies it; one-shot runs
-/// keep the human-inspectable JSON form.
-bool use_binary_format(const Options& opt) {
-  if (opt.format.empty()) return opt.stream;
-  return opt.format == "binary";
 }
 
 ShardStudyConfig study_config(const Options& opt) {
@@ -211,540 +217,591 @@ ShardStudyConfig study_config(const Options& opt) {
   return cfg;
 }
 
-// --- worker -----------------------------------------------------------------
-
-/// Runs one shard of the study and writes its manifest.  Also the body of
-/// each "virtual worker" in --no-fork mode, which is why telemetry state is
-/// set (not assumed fresh) here and reset by the caller between shards.
-int run_worker_shard(const Options& opt, int index) {
-  const ShardStudyConfig cfg = study_config(opt);
-  if (opt.threads > 0) ParallelExecutor::set_global_thread_count(opt.threads);
-  telemetry::MetricsRegistry::global().set_shard_index(index);
-
-  telemetry::ProgressWriter progress(opt.progress_path, index);
-  progress.beat("start", 0, 0);
-  try {
-    ShardStudyResult result = run_shard_study(
-        cfg, static_cast<std::size_t>(index), static_cast<std::size_t>(opt.shards),
-        [&](const std::string& stage, std::int64_t done, std::int64_t total) {
-          progress.beat(stage, done, total);
-        });
-    const bool binary = use_binary_format(opt);
-    telemetry::set_runtime_field("shard", study_shard_descriptor(cfg, index, opt.shards));
-    // Binary transport: the manifest document carries series headers only;
-    // the doubles travel as packed payload blocks.  The metadata JSON must be
-    // built BEFORE study_series_binary moves the values out of `result`.
-    telemetry::set_runtime_field("results",
-                                 study_results_to_json(result, /*include_values=*/!binary));
-    bool ok;
-    if (binary) {
-      ok = telemetry::write_manifest_binary(opt.manifest_path, opt.run, study_config_json(cfg),
-                                            study_series_binary(std::move(result)));
-    } else {
-      ok = telemetry::write_manifest(opt.manifest_path, opt.run, study_config_json(cfg));
-    }
-    progress.beat(ok ? "done" : "failed", 1, 1);
-    return ok ? 0 : 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "aropuf_shard: shard %d failed: %s\n", index, e.what());
-    progress.beat("failed", 0, 0);
-    return 1;
-  }
-}
-
-// --- orchestrator -----------------------------------------------------------
-
-struct ShardState {
-  enum class Phase { kPending, kRunning, kDone, kFailed, kSkipped };
-  Phase phase = Phase::kPending;
-  std::string manifest;
-  int attempts = 0;
-  long pid = -1;
-  Clock::time_point started{};
-  double wall_s = 0.0;
-  // Latest heartbeat.
-  std::string stage = "-";
-  std::int64_t done = 0;
-  std::int64_t total = 0;
-};
-
-const char* phase_name(ShardState::Phase p) {
-  switch (p) {
-    case ShardState::Phase::kPending: return "pending";
-    case ShardState::Phase::kRunning: return "running";
-    case ShardState::Phase::kDone: return "done";
-    case ShardState::Phase::kFailed: return "failed";
-    case ShardState::Phase::kSkipped: return "skipped";
-  }
-  return "?";
-}
-
-bool make_output_dir(const std::string& path) {
-#if defined(_WIN32)
-  return _mkdir(path.c_str()) == 0 || errno == EEXIST;
-#else
-  return ::mkdir(path.c_str(), 0777) == 0 || errno == EEXIST;
-#endif
+std::int64_t now_unix_ms() {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::system_clock::now().time_since_epoch())
+      .count();
 }
 
 bool stdout_is_tty() {
 #if defined(AROPUF_HAVE_FORK)
-  return ::isatty(STDOUT_FILENO) != 0;
+  return ::isatty(STDOUT_FILENO) == 1;
 #else
   return false;
 #endif
 }
 
-/// Terminal HUD: one line per shard plus a summary, redrawn in place.  When
-/// the terminal is not a TTY (CI logs), falls back to printing one plain
-/// line per state/stage transition instead.
-class Hud {
- public:
-  Hud(bool fancy, std::size_t shard_count) : fancy_(fancy), last_logged_(shard_count) {}
+bool write_text_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::trunc | std::ios::binary);
+  if (!out.is_open()) return false;
+  out << text;
+  out.flush();
+  return static_cast<bool>(out);
+}
 
-  void render(const std::vector<ShardState>& shards, const Clock::time_point& t0) {
-    if (fancy_) {
-      render_fancy(shards, t0);
-    } else {
-      render_plain(shards, t0);
-    }
+std::string shard_manifest_path(const Options& opt, int shard) {
+  return opt.out_dir + "/shard-" + std::to_string(shard) +
+         (opt.format == "binary" ? ".manifest.bin" : ".manifest.json");
+}
+
+/// 16-hex-char fleet trace id: splitmix64 over seed ⊕ wall clock ⊕ pid, so
+/// concurrent runs from the same seed still get distinct timelines.
+std::string make_trace_id(std::uint64_t seed) {
+  std::uint64_t x = seed ^ static_cast<std::uint64_t>(now_unix_ms());
+#if defined(AROPUF_HAVE_FORK)
+  x ^= static_cast<std::uint64_t>(::getpid()) << 32;
+#endif
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(x));
+  return buf;
+}
+
+/// Study-wide progress in shard units: resumed shards are complete before
+/// the run starts and are the ETA baseline, so the estimate reflects only
+/// the rate of work done in this run.
+class StudyProgress {
+ public:
+  StudyProgress(int shards, int resumed) : shards_(shards), t0_(Clock::now()) {
+    eta_.add_baseline(resumed);
   }
 
-  /// Declares work complete before this run started (resumed/skipped
-  /// shards), in shard units.  Keeps the ETA honest after --resume: without
-  /// it the skipped shards' work is credited to the current elapsed time and
-  /// the printed ETA is stale (far too optimistic).
-  void add_baseline(double shard_units) { eta_.add_baseline(shard_units); }
+  [[nodiscard]] double elapsed_s() const {
+    return std::chrono::duration<double>(Clock::now() - t0_).count();
+  }
 
-  void finish() {
-    // Leave the final HUD frame in the scrollback.
-    if (fancy_) std::fflush(stdout);
+  /// "<f>/<N> shards | <p>% | elapsed <e>s[ | eta <t>s]", where `done_units`
+  /// counts finished shards (resumed ones included) plus the heartbeat
+  /// fractions of the running ones.
+  [[nodiscard]] std::string line(int finished, double done_units) const {
+    const double elapsed = elapsed_s();
+    const double eta = eta_.eta_seconds(done_units, shards_, elapsed);
+    char text[128];
+    std::snprintf(text, sizeof text, "%d/%d shards | %.0f%% | elapsed %.1fs", finished, shards_,
+                  100.0 * done_units / shards_, elapsed);
+    std::string line = text;
+    if (eta >= 0.0) {
+      std::snprintf(text, sizeof text, " | eta %.1fs", eta);
+      line += text;
+    }
+    return line;
   }
 
  private:
-  /// This shard's progress in [0, 1]: finished/skipped shards count as a
-  /// full unit even when they never reported work totals (resumed shards
-  /// write no heartbeats).
-  static double shard_progress(const ShardState& s) {
-    if (s.phase == ShardState::Phase::kDone || s.phase == ShardState::Phase::kSkipped) {
-      return 1.0;
-    }
-    if (s.total <= 0) return 0.0;
-    return std::min(1.0, static_cast<double>(s.done) / static_cast<double>(s.total));
-  }
-
-  static std::string progress_bar(std::int64_t done, std::int64_t total, int width) {
-    const double frac =
-        total > 0 ? static_cast<double>(done) / static_cast<double>(total) : 0.0;
-    const int fill = static_cast<int>(frac * width + 0.5);
-    std::string bar = "[";
-    for (int i = 0; i < width; ++i) bar += i < fill ? '#' : '.';
-    bar += ']';
-    return bar;
-  }
-
-  /// Summary line shared by both render modes: "<f>/<N> shards finished |
-  /// <p>% | elapsed <e>s[ | eta <t>s]".  Progress is measured in shard
-  /// units (each shard's fractional progress sums toward N) so resumed
-  /// shards — which report no work totals — still count; the ETA excludes
-  /// them via the estimator baseline.
-  std::string summary_line(const std::vector<ShardState>& shards, const Clock::time_point& t0,
-                           std::size_t* finished_out) {
-    double done_units = 0.0;
-    std::size_t finished = 0;
-    for (const ShardState& s : shards) {
-      done_units += shard_progress(s);
-      if (s.phase == ShardState::Phase::kDone || s.phase == ShardState::Phase::kSkipped) {
-        ++finished;
-      }
-    }
-    const double elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
-    const double total_units = static_cast<double>(shards.size());
-    const double frac = total_units > 0.0 ? done_units / total_units : 0.0;
-    const double eta = eta_.eta_seconds(done_units, total_units, elapsed);
-    char summary[160];
-    if (eta >= 0.0) {
-      std::snprintf(summary, sizeof summary,
-                    "%zu/%zu shards finished | %.0f%% | elapsed %.1fs | eta %.1fs", finished,
-                    shards.size(), frac * 100.0, elapsed, eta);
-    } else {
-      std::snprintf(summary, sizeof summary, "%zu/%zu shards finished | %.0f%% | elapsed %.1fs",
-                    finished, shards.size(), frac * 100.0, elapsed);
-    }
-    if (finished_out != nullptr) *finished_out = finished;
-    return summary;
-  }
-
-  void render_fancy(const std::vector<ShardState>& shards, const Clock::time_point& t0) {
-    std::string frame;
-    for (std::size_t k = 0; k < shards.size(); ++k) {
-      const ShardState& s = shards[k];
-      char line[160];
-      std::snprintf(line, sizeof line, "  shard %-3zu %-8s %s %5lld/%-5lld %s", k,
-                    phase_name(s.phase), progress_bar(s.done, s.total, 24).c_str(),
-                    static_cast<long long>(s.done), static_cast<long long>(s.total),
-                    s.stage.c_str());
-      frame += line;
-      frame += '\n';
-    }
-    frame += "  " + summary_line(shards, t0, nullptr) + "\n";
-
-    const std::size_t lines = shards.size() + 1;
-    if (drawn_) std::printf("\x1b[%zuF", lines);  // cursor to frame start
-    // Clear each line before rewriting so shrinking text leaves no residue.
-    std::istringstream in(frame);
-    std::string line;
-    while (std::getline(in, line)) std::printf("\x1b[2K%s\n", line.c_str());
-    std::fflush(stdout);
-    drawn_ = true;
-  }
-
-  void render_plain(const std::vector<ShardState>& shards, const Clock::time_point& t0) {
-    for (std::size_t k = 0; k < shards.size(); ++k) {
-      const ShardState& s = shards[k];
-      const std::string key = std::string(phase_name(s.phase)) + "|" + s.stage + "|" +
-                              std::to_string(s.done) + "/" + std::to_string(s.total);
-      if (key == last_logged_[k]) continue;
-      last_logged_[k] = key;
-      std::printf("shard %zu: %s %s (%lld/%lld)\n", k, phase_name(s.phase), s.stage.c_str(),
-                  static_cast<long long>(s.done), static_cast<long long>(s.total));
-      std::fflush(stdout);
-    }
-    // One summary line (with the baseline-corrected ETA) per newly finished
-    // shard — progress for CI logs without per-poll spam.
-    std::size_t finished = 0;
-    const std::string summary = summary_line(shards, t0, &finished);
-    if (finished != last_plain_finished_ && finished > 0 && finished < shards.size()) {
-      last_plain_finished_ = finished;
-      std::printf("progress: %s\n", summary.c_str());
-      std::fflush(stdout);
-    }
-  }
-
-  bool fancy_;
-  bool drawn_ = false;
-  std::vector<std::string> last_logged_;
-  std::size_t last_plain_finished_ = 0;
+  int shards_;
+  Clock::time_point t0_;
   telemetry::EtaEstimator eta_;
 };
 
-std::string shard_manifest_path(const Options& opt, int index) {
-  return opt.out_dir + "/shard-" + std::to_string(index) +
-         (use_binary_format(opt) ? ".manifest.bin" : ".manifest.json");
+/// Live per-worker fleet table, redrawn in place (cursor-up + line-clear).
+/// Active only on a TTY without --quiet; when active it replaces the
+/// per-event narration entirely (the two would shred each other's terminal
+/// region).
+class FleetHud {
+ public:
+  FleetHud(bool enabled, int shards, int resumed)
+      : enabled_(enabled), progress_(shards, resumed), resumed_(resumed) {}
+
+  [[nodiscard]] bool enabled() const { return enabled_; }
+
+  /// The study progress line as seen through `view` (shards folded this run
+  /// plus the heartbeat fraction of every busy worker).
+  [[nodiscard]] std::string progress_line(const net::FleetView& view) const {
+    double units = resumed_ + view.shards_done();
+    for (const net::WorkerView& w : view.workers()) {
+      if (w.busy_shard >= 0 && w.stage_total > 0) {
+        units += static_cast<double>(w.stage_done) / static_cast<double>(w.stage_total);
+      }
+    }
+    return progress_.line(resumed_ + view.shards_done(), units);
+  }
+
+  void note_event(const std::string& event, int shard, const std::string& detail) {
+    if (!enabled_) return;
+    last_event_ = shard >= 0 ? event + " shard " + std::to_string(shard) + " (" + detail + ")"
+                             : event + " (" + detail + ")";
+  }
+
+  void render(const net::FleetView& view, bool force) {
+    if (!enabled_) return;
+    // 10 Hz redraw cap: heartbeats can arrive per work unit.
+    const std::int64_t now = now_unix_ms();
+    if (!force && now - last_render_ms_ < 100) return;
+    last_render_ms_ = now;
+
+    if (erase_lines_ > 0) std::printf("\x1b[%zuF", erase_lines_);
+    std::size_t lines = 0;
+    auto line = [&lines](const std::string& text) {
+      std::printf("\x1b[2K%s\n", text.c_str());
+      ++lines;
+    };
+    char head[320];
+    std::snprintf(head, sizeof head, "fleet: %s  %d failed  %d reassigned%s%s",
+                  progress_line(view).c_str(), view.shards_failed(), view.reassignments(),
+                  last_event_.empty() ? "" : "  |  ", last_event_.c_str());
+    line(head);
+    for (const net::WorkerView& w : view.workers()) {
+      char state[24];
+      if (w.busy_shard >= 0) {
+        std::snprintf(state, sizeof state, "busy s%d", w.busy_shard);
+      } else {
+        std::snprintf(state, sizeof state, "%s", w.connected ? "idle   " : "gone   ");
+      }
+      char units[48] = "";
+      if (w.stage_total > 0) {
+        std::snprintf(units, sizeof units, " %lld/%lld", static_cast<long long>(w.stage_done),
+                      static_cast<long long>(w.stage_total));
+      }
+      char row[320];
+      std::snprintf(row, sizeof row,
+                    "  worker[%d] %-24s %s  jobs %d/%d  retry %d  %s%s  clk%+.1fms", w.pid - 2,
+                    w.name.c_str(), state, w.jobs_done, w.jobs_assigned, w.failed_attempts,
+                    w.last_stage.empty() ? "-" : w.last_stage.c_str(), units,
+                    w.clock_offset_ms);
+      line(row);
+    }
+    std::fflush(stdout);
+    erase_lines_ = lines;
+  }
+
+  /// Leaves the final table on screen and stops managing the region.
+  void finish(const net::FleetView& view) {
+    if (!enabled_) return;
+    render(view, /*force=*/true);
+    erase_lines_ = 0;
+  }
+
+ private:
+  bool enabled_;
+  StudyProgress progress_;
+  int resumed_;
+  std::int64_t last_render_ms_ = 0;
+  std::size_t erase_lines_ = 0;
+  std::string last_event_;
+};
+
+/// Persists one landed shard manifest and folds it.  The container is
+/// written first (the bytes a shard leaves on disk for --resume and for
+/// inspection) so a failed run leaves evidence; a write failure is advisory,
+/// the in-memory fold is authoritative.  Throws when the manifest will not
+/// fold — the coordinator charges that to the job's retry budget.
+using LandShardFn =
+    std::function<void(int shard, std::string bytes, const std::string& origin)>;
+
+// --- worker mode -------------------------------------------------------------
+
+int run_worker_mode(const Options& opt) {
+  std::string host;
+  std::uint16_t port = 0;
+  if (!parse_hostport(opt.worker_spec, &host, &port)) {
+    std::fprintf(stderr, "aropuf_shard: bad --worker spec '%s' (want HOST:PORT)\n",
+                 opt.worker_spec.c_str());
+    return 2;
+  }
+  if (opt.threads > 0) ParallelExecutor::set_global_thread_count(opt.threads);
+
+  net::WorkerConfig config;
+  config.host = host;
+  config.port = port;
+  config.name = opt.worker_name;
+  config.threads = opt.threads;
+  config.abort_first_job = opt.abort_first_job;
+
+  // The job body: the in-process shard runner, parameterized entirely from
+  // the JOB message.
+  const net::JobRunner runner = [](const net::JobMsg& job, const auto& progress) {
+    ShardStudyConfig cfg;
+    cfg.pop.chips = job.chips;
+    cfg.pop.seed = job.seed;
+    cfg.checkpoints = job.checkpoints;
+    return run_shard_job(cfg, job.shard, job.shards, job.run, job.format == "binary", progress);
+  };
+
+  const net::WorkerExit status = net::run_worker(config, runner);
+  switch (status) {
+    case net::WorkerExit::kBye:
+      break;
+    case net::WorkerExit::kLost:
+      std::fprintf(stderr, "aropuf_shard: connection to coordinator lost\n");
+      break;
+    case net::WorkerExit::kProtocol:
+      std::fprintf(stderr, "aropuf_shard: coordinator violated the protocol\n");
+      break;
+    case net::WorkerExit::kAborted:
+      std::fprintf(stderr, "aropuf_shard: aborted on first job (test hook)\n");
+      break;
+  }
+  return static_cast<int>(status);
 }
+
+// --- in-process shards -------------------------------------------------------
+
+/// Runs `todo` sequentially in this process.  run_shard_job resets the
+/// process-wide telemetry before each shard, so every shard still produces
+/// an honest per-shard manifest.
+bool run_in_process(const Options& opt, const ShardStudyConfig& cfg, const std::vector<int>& todo,
+                    int resumed, const LandShardFn& land) {
+  if (opt.threads > 0) ParallelExecutor::set_global_thread_count(opt.threads);
+  const StudyProgress progress(opt.shards, resumed);
+  int folded = 0;
+  for (const int shard : todo) {
+    try {
+      land(shard, run_shard_job(cfg, shard, opt.shards, opt.run, opt.format == "binary"),
+           "in-process");
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "aropuf_shard: shard %d failed: %s\n", shard, e.what());
+      return false;
+    }
+    ++folded;
+    if (!opt.quiet) {
+      std::printf("shard %d: folded (in-process) | %s\n", shard,
+                  progress.line(resumed + folded, resumed + folded).c_str());
+      std::fflush(stdout);
+    }
+  }
+  telemetry::reset_run_record();
+  telemetry::MetricsRegistry::global().reset();
+  return true;
+}
+
+// --- coordinator -------------------------------------------------------------
 
 #if defined(AROPUF_HAVE_FORK)
-/// Spawns one worker as a child process: self-exec with --worker.  Returns
-/// the pid, or -1 with a message on stderr.
-long spawn_worker(const std::string& exe, const Options& opt, int index) {
-  std::vector<std::string> args = {
-      exe,
-      "--worker",
-      "--shard",
-      std::to_string(index) + "/" + std::to_string(opt.shards),
-      "--chips",
-      std::to_string(opt.chips),
-      "--seed",
-      std::to_string(opt.seed),
-      "--run",
-      opt.run,
-      "--manifest",
-      shard_manifest_path(opt, index),
-      "--progress",
-      opt.progress_path,
-      "--format",
-      use_binary_format(opt) ? "binary" : "json",
-  };
-  {
-    std::string csv;
-    for (std::size_t i = 0; i < opt.checkpoints.size(); ++i) {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%g", opt.checkpoints[i]);
-      if (i > 0) csv += ',';
-      csv += buf;
+/// The local workers of a coordinator run: copies of this binary serving
+/// the loopback coordinator, named "local-<n>".  Replacement rides on the
+/// coordinator's "disconnect" event, which also follows every heartbeat
+/// timeout; workers that die before they connect surface through the
+/// coordinator's stall timeout instead.  `narrate` logs each start (off
+/// under --quiet and while the HUD owns the terminal).
+class LocalWorkers {
+ public:
+  LocalWorkers(std::string exe, const Options& opt, std::uint16_t port, int replacements,
+               bool narrate)
+      : exe_(std::move(exe)),
+        opt_(opt),
+        port_(port),
+        replacements_(replacements),
+        narrate_(narrate) {}
+
+  /// Starts `count` workers.  Returns false when one could not be started.
+  bool start(int count) {
+    for (int i = 0; i < count; ++i) {
+      if (!spawn()) return false;
     }
-    args.push_back("--checkpoints");
-    args.push_back(csv);
-  }
-  if (opt.threads > 0) {
-    args.push_back("--threads");
-    args.push_back(std::to_string(opt.threads));
+    return true;
   }
 
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& a : args) argv.push_back(a.data());
-  argv.push_back(nullptr);
+  /// Handles a coordinator "disconnect" event ("<worker>: <reason>").  A
+  /// local worker's connection is gone for good, so its process is killed
+  /// (it may be hung rather than dead) and reaped; while jobs remain a
+  /// replacement takes its place.  Throws when the last local worker is gone
+  /// and no replacement can start, which aborts Coordinator::run() instead
+  /// of waiting for workers that will never come.
+  void on_disconnect(const std::string& detail, bool jobs_remain) {
+    const auto it = live_.find(detail.substr(0, detail.find(": ")));
+    if (it == live_.end()) return;
+    reap(it->second, /*kill_first=*/true);
+    live_.erase(it);
+    if (!jobs_remain) return;
+    if (replacements_ > 0 && spawn()) {
+      --replacements_;
+      return;
+    }
+    if (live_.empty() && opt_.listen_port < 0) {
+      throw std::runtime_error("every local worker is gone and no replacement could start");
+    }
+  }
 
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    std::fprintf(stderr, "aropuf_shard: fork failed: %s\n", std::strerror(errno));
-    return -1;
+  /// Handles a coordinator stall ("timeout" with no worker attached): reaps
+  /// the local workers that exited before they ever connected.  Throws when
+  /// none is left and no remote worker can join; a worker that cannot reach
+  /// the coordinator would fail the same way again, so it is not replaced.
+  void on_stall() {
+    for (auto it = live_.begin(); it != live_.end();) {
+      int status = 0;
+      const auto pid = static_cast<pid_t>(it->second);
+      it = ::waitpid(pid, &status, WNOHANG) == pid ? live_.erase(it) : std::next(it);
+    }
+    if (live_.empty() && opt_.listen_port < 0) {
+      throw std::runtime_error("every local worker exited before reaching the coordinator");
+    }
   }
-  if (pid == 0) {
-    ::execv(exe.c_str(), argv.data());
-    std::fprintf(stderr, "aropuf_shard: exec %s failed: %s\n", exe.c_str(),
-                 std::strerror(errno));
-    ::_exit(127);
-  }
-  return pid;
-}
 
-/// Resolves the path this binary can be re-exec'd from.
-std::string self_executable(const char* argv0) {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return buf;
+  /// Reaps every worker still running, killing them first when `kill_first`
+  /// (a failed or timed-out run; after a clean run they exit on BYE).
+  void finish(bool kill_first) {
+    for (const auto& [name, pid] : live_) reap(pid, kill_first);
+    live_.clear();
   }
-  return argv0;
-}
+
+ private:
+  bool spawn() {
+    const std::string name = "local-" + std::to_string(next_++);
+    std::vector<std::string> args = {exe_, "--worker", "127.0.0.1:" + std::to_string(port_),
+                                     "--name", name};
+    if (opt_.threads > 0) {
+      args.push_back("--threads");
+      args.push_back(std::to_string(opt_.threads));
+    }
+    const long pid = tools::spawn_process("aropuf_shard", std::move(args));
+    if (pid < 0) return false;
+    live_[name] = pid;
+    if (narrate_) {
+      std::printf("fleet: started local worker %s (pid %ld)\n", name.c_str(), pid);
+      std::fflush(stdout);
+    }
+    return true;
+  }
+
+  static void reap(long pid, bool kill_first) {
+    if (kill_first) ::kill(static_cast<pid_t>(pid), SIGKILL);
+    int status = 0;
+    while (::waitpid(static_cast<pid_t>(pid), &status, 0) < 0 && errno == EINTR) {
+    }
+  }
+
+  std::string exe_;
+  const Options& opt_;
+  std::uint16_t port_;
+  int replacements_;
+  bool narrate_;
+  int next_ = 0;
+  std::map<std::string, long> live_;  ///< worker name -> pid
+};
 #endif  // AROPUF_HAVE_FORK
 
-void apply_heartbeats(telemetry::ProgressReader& reader, std::vector<ShardState>* shards) {
-  for (const telemetry::Heartbeat& beat : reader.poll()) {
-    if (beat.shard < 0 || static_cast<std::size_t>(beat.shard) >= shards->size()) continue;
-    ShardState& s = (*shards)[static_cast<std::size_t>(beat.shard)];
-    // "folded" is set by the orchestrator in --stream mode after the worker's
-    // terminal beat; a late-polled "done" must not clobber it in the HUD.
-    if (s.stage == "folded") continue;
-    s.stage = beat.stage;
-    // "start"/terminal beats carry 0/0 or 1/1 — keep the last real totals so
-    // the HUD's aggregate fraction stays meaningful.
-    if (beat.total > 0 || (beat.done == 0 && s.total == 0)) {
-      s.done = beat.done;
-      s.total = beat.total;
-    }
-    if (beat.stage == "done" && s.total > 0) s.done = s.total;
+/// Runs `todo` through the ARPF coordinator: local workers it starts itself
+/// and, with --listen, remote ones.  Returns true when every job landed.
+bool run_coordinator(const Options& opt, const std::vector<int>& todo, int resumed,
+                     const LandShardFn& land, const char* argv0) {
+#if defined(AROPUF_HAVE_FORK)
+  // Observability plane: one trace session (buffer-only unless the operator
+  // asked for a file via AROPUF_TRACE), one fleet-wide trace id stamped on
+  // every JOB, and one FleetView folding everything the wire reports.
+  if (!telemetry::trace_enabled()) telemetry::start_trace_buffered();
+  telemetry::set_trace_process_label("coordinator " + opt.run);
+  telemetry::set_trace_thread_label("coordinator main");
+  const std::string trace_id = make_trace_id(opt.seed);
+  net::FleetView view(static_cast<int>(todo.size()), opt.run, trace_id, now_unix_ms());
+  FleetHud hud(stdout_is_tty() && !opt.quiet, opt.shards, resumed);
+
+  net::CoordinatorConfig config;
+  config.jobs = todo;
+  config.retries = opt.retries;
+  config.heartbeat_timeout_s = opt.worker_timeout_s;
+  config.total_timeout_s = opt.timeout_s;
+  config.job_template.shards = opt.shards;
+  config.job_template.chips = opt.chips;
+  config.job_template.seed = opt.seed;
+  config.job_template.checkpoints = opt.checkpoints;
+  config.job_template.run = opt.run;
+  config.job_template.format = opt.format;
+  config.job_template.trace_id = trace_id;
+
+  const bool listen = opt.listen_port >= 0;
+  net::Listener listener;
+  try {
+    listener = net::Listener::listen_on(static_cast<std::uint16_t>(listen ? opt.listen_port : 0),
+                                        /*loopback_only=*/!listen);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "aropuf_shard: cannot listen: %s\n", e.what());
+    return false;
   }
+  const std::uint16_t port = listener.port();
+  const int hardware = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  const int local_jobs = std::min(static_cast<int>(todo.size()),
+                                  opt.jobs < 0 ? std::min(opt.shards, hardware) : opt.jobs);
+  LocalWorkers locals(tools::self_executable(argv0), opt, port,
+                      static_cast<int>(todo.size()) * (opt.retries + 1),
+                      /*narrate=*/!opt.quiet && !hud.enabled());
+  int remaining = static_cast<int>(todo.size());
+
+  net::CoordinatorCallbacks callbacks;
+  callbacks.on_result = [&](int shard, std::string bytes, const std::string& worker) {
+    land(shard, std::move(bytes), "tcp://" + worker);
+    --remaining;
+    view.note_result(shard, worker, now_unix_ms());
+    if (hud.enabled()) {
+      hud.render(view, /*force=*/true);
+    } else if (!opt.quiet) {
+      std::printf("shard %d: folded (from %s) | %s\n", shard, worker.c_str(),
+                  hud.progress_line(view).c_str());
+      std::fflush(stdout);
+    }
+  };
+  // Stage transitions only — per-unit beats would flood a fleet log.  Keyed
+  // per shard; callbacks fire on the coordinator's (this) thread.
+  std::map<int, std::string> last_stage;
+  callbacks.on_heartbeat = [&](const telemetry::Heartbeat& beat, const std::string& worker) {
+    view.note_heartbeat(beat, worker, now_unix_ms());
+    if (hud.enabled()) {
+      hud.render(view, /*force=*/false);
+      return;
+    }
+    if (opt.quiet) return;
+    const std::string key = worker + "|" + beat.stage;
+    if (last_stage[beat.shard] == key) return;
+    last_stage[beat.shard] = key;
+    std::printf("shard %d: %s (%s)\n", beat.shard, beat.stage.c_str(), worker.c_str());
+    std::fflush(stdout);
+  };
+  callbacks.on_metrics = [&](const net::MetricsMsg& msg, const std::string& worker,
+                             double clock_offset_ms) {
+    view.note_metrics(msg, worker, clock_offset_ms, now_unix_ms());
+    hud.render(view, /*force=*/false);
+  };
+  callbacks.on_event = [&](const std::string& event, int shard, const std::string& detail) {
+    view.note_event(event, shard, detail, now_unix_ms());
+    if (event == "fail") --remaining;
+    if (hud.enabled()) {
+      hud.note_event(event, shard, detail);
+      hud.render(view, /*force=*/true);
+    } else if (!opt.quiet) {
+      if (shard >= 0) {
+        std::printf("fleet: %s shard %d: %s\n", event.c_str(), shard, detail.c_str());
+      } else {
+        std::printf("fleet: %s: %s\n", event.c_str(), detail.c_str());
+      }
+      std::fflush(stdout);
+    }
+    if (event == "disconnect") locals.on_disconnect(detail, remaining > 0);
+    if (event == "timeout" && shard < 0) locals.on_stall();
+  };
+
+  std::optional<net::Coordinator> coordinator;
+  coordinator.emplace(std::move(listener), std::move(config), std::move(callbacks));
+  std::printf("aropuf_shard: coordinating %zu shard job(s) on %s:%u\n", todo.size(),
+              listen ? "0.0.0.0" : "127.0.0.1", static_cast<unsigned>(port));
+  std::fflush(stdout);
+  if (!opt.port_file.empty()) {
+    // The port file is the rendezvous for scripted runs (--listen 0): written
+    // atomically (tmp + rename) so a polling launcher never reads a torn
+    // value.
+    const std::string tmp = opt.port_file + ".tmp";
+    if (!write_text_file(tmp, std::to_string(port) + "\n") ||
+        std::rename(tmp.c_str(), opt.port_file.c_str()) != 0) {
+      std::fprintf(stderr, "aropuf_shard: cannot write port file %s\n", opt.port_file.c_str());
+      return false;
+    }
+  }
+
+  net::FleetSummary summary;
+  if (locals.start(local_jobs)) {
+    try {
+      summary = coordinator->run();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "aropuf_shard: coordinator failed: %s\n", e.what());
+    }
+  }
+  hud.finish(view);
+  // Closing the listener first turns any worker still connecting into a
+  // refused connection, so every local worker is sure to exit.
+  coordinator.reset();
+  locals.finish(/*kill_first=*/!summary.ok);
+  std::printf(
+      "aropuf_shard: %d/%zu job(s) done, %d failed, %d worker(s), %d reassignment(s)%s\n",
+      summary.jobs_done, todo.size(), summary.jobs_failed, summary.workers_seen,
+      summary.reassignments, summary.timed_out ? " [timed out]" : "");
+
+  // Observability artifacts are written for failed runs too — a timeline of
+  // a run that went wrong is worth more than one of a run that went right.
+  view.add_local_events(telemetry::drain_trace_events(), telemetry::trace_epoch_unix_ms(),
+                        "coordinator " + opt.run);
+  const std::string trace_path = opt.out_dir + "/fleet_trace.json";
+  const std::string metrics_path = opt.out_dir + "/fleet_metrics.json";
+  const std::string prom_path = opt.out_dir + "/fleet_metrics.prom";
+  if (!write_text_file(trace_path, view.merged_trace_json().dump(/*indent=*/0) + "\n") ||
+      !write_text_file(metrics_path,
+                       view.fleet_metrics_json(now_unix_ms()).dump(/*indent=*/2) + "\n") ||
+      !write_text_file(prom_path, view.prometheus_text())) {
+    std::fprintf(stderr, "aropuf_shard: warning: could not write fleet observability artifacts\n");
+  } else if (!opt.quiet) {
+    std::printf("aropuf_shard: fleet timeline %s, metrics %s + %s (trace_id %s)\n",
+                trace_path.c_str(), metrics_path.c_str(), prom_path.c_str(), trace_id.c_str());
+    std::fflush(stdout);
+  }
+  return summary.ok;
+#else
+  (void)opt;
+  (void)todo;
+  (void)resumed;
+  (void)land;
+  (void)argv0;
+  return false;
+#endif
 }
 
+// --- study -------------------------------------------------------------------
 
-int run_orchestrator(const Options& opt_in, const char* argv0) {
-  Options opt = opt_in;
-#if !defined(AROPUF_HAVE_FORK)
-  opt.no_fork = true;  // no process spawning on this platform
-  (void)argv0;
-#endif
-  if (opt.jobs <= 0) {
-    opt.jobs = std::max(1, std::min<int>(opt.shards, static_cast<int>(
-                                                         std::thread::hardware_concurrency())));
-  }
-  if (!make_output_dir(opt.out_dir)) {
-    std::fprintf(stderr, "aropuf_shard: cannot create output directory %s\n",
-                 opt.out_dir.c_str());
+int run_study(const Options& opt, const char* argv0) {
+  std::error_code mkdir_error;
+  std::filesystem::create_directories(opt.out_dir, mkdir_error);
+  if (mkdir_error) {
+    std::fprintf(stderr, "aropuf_shard: cannot create output directory %s: %s\n",
+                 opt.out_dir.c_str(), mkdir_error.message().c_str());
     return 1;
   }
-  opt.progress_path = opt.out_dir + "/progress.jsonl";
-  {
-    // Fresh progress log per run; workers append from here on.
-    std::FILE* f = std::fopen(opt.progress_path.c_str(), "w");
-    if (f != nullptr) std::fclose(f);
-  }
-
   const ShardStudyConfig cfg = study_config(opt);
   const telemetry::RawSeriesPolicy policy = opt.drop_raw
                                                 ? telemetry::RawSeriesPolicy::kDropAfterCheck
                                                 : telemetry::RawSeriesPolicy::kKeep;
-  std::vector<ShardState> shards(static_cast<std::size_t>(opt.shards));
-  std::optional<telemetry::AggregateBuilder> builder;
-  if (opt.stream) builder.emplace(policy);
-  // Folds shard k's manifest into the streaming builder as soon as its worker
-  // lands.  add() is transactional, so a failed fold leaves the builder
-  // intact and the shard can be re-run and folded again via the retry path.
-  const auto fold_shard = [&](std::size_t k) -> bool {
-    ShardState& s = shards[k];
-    try {
-      builder->add(telemetry::load_shard_input(s.manifest));
-      s.stage = "folded";
-      return true;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "aropuf_shard: fold of shard %zu failed: %s\n", k, e.what());
-      return false;
+  // Streaming fold: each shard folds the moment it lands, so the builder
+  // keeps only the out-of-order window, never the whole population.
+  telemetry::AggregateBuilder builder(policy);
+  const LandShardFn land = [&](int shard, std::string bytes, const std::string& origin) {
+    const std::string path = shard_manifest_path(opt, shard);
+    if (!write_text_file(path, bytes)) {
+      std::fprintf(stderr, "aropuf_shard: warning: could not persist shard %d to %s\n", shard,
+                   path.c_str());
     }
+    builder.add(telemetry::decode_shard_input(std::move(bytes), origin));
   };
-  std::deque<int> pending;
+
+  std::vector<int> todo;
+  const JsonValue config_echo = study_config_json(cfg);
   for (int k = 0; k < opt.shards; ++k) {
-    ShardState& s = shards[static_cast<std::size_t>(k)];
-    s.manifest = shard_manifest_path(opt, k);
+    const std::string path = shard_manifest_path(opt, k);
     std::string why;
-    if (opt.resume &&
-        telemetry::shard_manifest_is_valid(s.manifest, opt.run, k, opt.shards, &why)) {
-      if (builder && !fold_shard(static_cast<std::size_t>(k))) {
-        std::printf("shard %d: re-running (existing manifest would not fold)\n", k);
-        pending.push_back(k);
+    if (opt.resume && telemetry::shard_manifest_is_valid(path, opt.run, k, opt.shards,
+                                                         config_echo, &why)) {
+      try {
+        builder.add(telemetry::load_shard_input(path));
+        std::printf("shard %d: valid manifest found, skipping (resume)\n", k);
         continue;
+      } catch (const std::exception& e) {
+        why = std::string("existing manifest would not fold: ") + e.what();
       }
-      s.phase = ShardState::Phase::kSkipped;
-      s.stage = builder ? "resumed+folded" : "resumed";
-      std::printf("shard %d: valid manifest found, skipping (resume)\n", k);
-    } else {
-      if (opt.resume && !why.empty()) {
-        std::printf("shard %d: re-running (%s)\n", k, why.c_str());
-      }
-      pending.push_back(k);
     }
+    if (opt.resume) std::printf("shard %d: re-running (%s)\n", k, why.c_str());
+    todo.push_back(k);
+  }
+  std::fflush(stdout);
+
+  const int resumed = opt.shards - static_cast<int>(todo.size());
+  const bool ok = todo.empty() || (opt.no_fork ? run_in_process(opt, cfg, todo, resumed, land)
+                                               : run_coordinator(opt, todo, resumed, land, argv0));
+  if (!ok) {
+    std::fprintf(stderr, "aropuf_shard: run failed; no aggregate manifest written\n");
+    return 1;
   }
 
-  telemetry::ProgressReader reader(opt.progress_path);
-  Hud hud(stdout_is_tty() && !opt.quiet, shards.size());
-  // Resumed shards finished in a previous run; pin them as the ETA baseline
-  // so the estimate reflects only the remaining jobs' rate.
-  for (const ShardState& s : shards) {
-    if (s.phase == ShardState::Phase::kSkipped) hud.add_baseline(1.0);
-  }
-  const Clock::time_point t0 = Clock::now();
-
-  if (opt.no_fork) {
-    // Sequential in-process fallback: each shard still produces its own
-    // honest manifest because telemetry state is reset in between.
-    for (std::size_t k = 0; k < shards.size(); ++k) {
-      ShardState& s = shards[k];
-      if (s.phase == ShardState::Phase::kSkipped) continue;
-      s.phase = ShardState::Phase::kRunning;
-      telemetry::reset_run_record();
-      telemetry::MetricsRegistry::global().reset();
-      Options worker = opt;
-      worker.manifest_path = s.manifest;
-      const int rc = run_worker_shard(worker, static_cast<int>(k));
-      apply_heartbeats(reader, &shards);
-      bool ok = rc == 0;
-      if (ok && builder) ok = fold_shard(k);
-      s.phase = ok ? ShardState::Phase::kDone : ShardState::Phase::kFailed;
-      hud.render(shards, t0);
-    }
-    telemetry::reset_run_record();
-    telemetry::MetricsRegistry::global().reset();
-  } else {
-#if defined(AROPUF_HAVE_FORK)
-    const std::string exe = self_executable(argv0);
-    int running = 0;
-    std::size_t unfinished = 0;
-    for (const ShardState& s : shards) {
-      if (s.phase == ShardState::Phase::kPending) ++unfinished;
-    }
-    while (unfinished > 0) {
-      while (running < opt.jobs && !pending.empty()) {
-        const int k = pending.front();
-        pending.pop_front();
-        ShardState& s = shards[static_cast<std::size_t>(k)];
-        s.pid = spawn_worker(exe, opt, k);
-        if (s.pid < 0) {
-          s.phase = ShardState::Phase::kFailed;
-          --unfinished;
-          continue;
-        }
-        s.phase = ShardState::Phase::kRunning;
-        s.started = Clock::now();
-        ++s.attempts;
-        ++running;
-      }
-
-      // Reap any exited workers without blocking.
-      int status = 0;
-      pid_t reaped;
-      while ((reaped = ::waitpid(-1, &status, WNOHANG)) > 0) {
-        for (std::size_t k = 0; k < shards.size(); ++k) {
-          ShardState& s = shards[k];
-          if (s.pid != reaped) continue;
-          s.pid = -1;
-          s.wall_s = std::chrono::duration<double>(Clock::now() - s.started).count();
-          --running;
-          bool ok = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-          // A manifest that will not fold is as fatal as a crashed worker:
-          // route it through the same retry budget.
-          if (ok && builder) ok = fold_shard(k);
-          if (ok) {
-            s.phase = ShardState::Phase::kDone;
-            --unfinished;
-          } else if (s.attempts <= opt.retries) {
-            std::printf("shard %zu: attempt %d failed, retrying\n", k, s.attempts);
-            s.phase = ShardState::Phase::kPending;
-            s.stage = "retrying";
-            pending.push_back(static_cast<int>(k));
-          } else {
-            std::fprintf(stderr, "shard %zu: failed after %d attempts\n", k, s.attempts);
-            s.phase = ShardState::Phase::kFailed;
-            --unfinished;
-          }
-          break;
-        }
-      }
-
-      // Enforce per-shard timeouts.
-      if (opt.timeout_s > 0.0) {
-        for (std::size_t k = 0; k < shards.size(); ++k) {
-          ShardState& s = shards[k];
-          if (s.phase != ShardState::Phase::kRunning || s.pid < 0) continue;
-          const double elapsed =
-              std::chrono::duration<double>(Clock::now() - s.started).count();
-          if (elapsed > opt.timeout_s) {
-            std::fprintf(stderr, "shard %zu: timed out after %.1fs, killing pid %ld\n", k,
-                         elapsed, s.pid);
-            ::kill(static_cast<pid_t>(s.pid), SIGKILL);
-            // The kill surfaces as a non-zero exit on the next reap, which
-            // routes through the normal retry/fail path above.
-          }
-        }
-      }
-
-      apply_heartbeats(reader, &shards);
-      hud.render(shards, t0);
-      struct timespec ts{0, 100 * 1000 * 1000};  // 100 ms
-      ::nanosleep(&ts, nullptr);
-    }
-#endif  // AROPUF_HAVE_FORK
-  }
-
-  apply_heartbeats(reader, &shards);
-  hud.render(shards, t0);
-  hud.finish();
-  if (reader.malformed_lines() > 0) {
-    std::fprintf(stderr, "aropuf_shard: skipped %zu malformed progress lines\n",
-                 reader.malformed_lines());
-  }
-
-  bool any_failed = false;
-  for (std::size_t k = 0; k < shards.size(); ++k) {
-    if (shards[k].phase == ShardState::Phase::kFailed) {
-      std::fprintf(stderr, "aropuf_shard: shard %zu failed; no aggregate written\n", k);
-      any_failed = true;
-    }
-  }
-  if (any_failed) return 1;
-
-  // --- merge ---------------------------------------------------------------
+  // The peak window size is the measurable bounded-memory claim (CI asserts
+  // peak < total).
+  std::printf(
+      "stream: folded %d/%d shards as they landed; raw-series window peak %zu of %zu values "
+      "(policy %s)\n",
+      builder.shards_added(), opt.shards, builder.peak_buffered_values(),
+      builder.reduced_values(), opt.drop_raw ? "drop_after_check" : "keep");
   telemetry::AggregateResult merged;
-  if (builder) {
-    // Everything already folded as workers landed; the peak window size is
-    // the measurable bounded-memory claim (CI asserts peak < total).
-    std::printf(
-        "stream: folded %d/%d shards as workers landed; raw-series window peak %zu of %zu "
-        "values (policy %s)\n",
-        builder->shards_added(), opt.shards, builder->peak_buffered_values(),
-        builder->reduced_values(), opt.drop_raw ? "drop_after_check" : "keep");
-    try {
-      merged = builder->finalize();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "aropuf_shard: aggregation failed: %s\n", e.what());
-      return 1;
-    }
-  } else {
-    // One-shot merge goes through the same decoded-shard fold as --stream, so
-    // both transports and both merge modes share a single aggregation path.
-    telemetry::AggregateBuilder one_shot(policy);
-    try {
-      for (const ShardState& s : shards) {
-        one_shot.add(telemetry::load_shard_input(s.manifest));
-      }
-      merged = one_shot.finalize();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "aropuf_shard: aggregation failed: %s\n", e.what());
-      return 1;
-    }
+  try {
+    merged = builder.finalize();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "aropuf_shard: aggregation failed: %s\n", e.what());
+    return 1;
   }
-
   merged.manifest.as_object()["study"] = build_study_section(merged.manifest, cfg);
 
   const std::string merged_path = opt.out_dir + "/merged.manifest.json";
@@ -780,12 +837,12 @@ int run_orchestrator(const Options& opt_in, const char* argv0) {
 int main(int argc, char** argv) {
   Options opt;
   if (const int rc = parse_args(argc, argv, &opt); rc != 0) return rc;
-  // Both the orchestrator and each forked worker profile themselves
-  // (AROPUF_PROF is inherited; AROPUF_PROF_RESOURCE supports a %p pid
-  // placeholder so workers don't clobber one timeline).
+  // The orchestrator and every worker profile themselves (AROPUF_PROF is
+  // inherited; AROPUF_PROF_RESOURCE supports a %p pid placeholder so
+  // workers don't clobber one timeline).  Worker "prof.*" metrics also
+  // travel home inside METRICS snapshots.
   telemetry::start_process_profile();
-  const int rc = opt.worker ? run_worker_shard(opt, opt.shard_index)
-                            : run_orchestrator(opt, argv[0]);
+  const int rc = !opt.worker_spec.empty() ? run_worker_mode(opt) : run_study(opt, argv[0]);
   const bool prof_ok = telemetry::stop_process_profile();
   return rc != 0 ? rc : (prof_ok ? 0 : 1);
 }
