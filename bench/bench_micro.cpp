@@ -1,10 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the simulation's hot kernels.
 //
 // These guard the throughput that makes the Monte Carlo studies cheap:
-// RO frequency evaluation, full-chip response evaluation, BCH decode,
-// population uniqueness, and the parallel Monte Carlo engine's scaling
-// (BM_AgingSeries200 at 1/2/8 threads is the serial-vs-parallel speedup
-// record for run_aging_series; target >= 4x at 8 threads on 8 cores).
+// RO frequency evaluation, full-chip response evaluation, BCH decode, key
+// reconstruction, population uniqueness, and the parallel Monte Carlo
+// engine's scaling (BM_AgingSeries200 at 1/2/8 threads is the
+// serial-vs-parallel speedup record for run_aging_series; target >= 4x at 8
+// threads on 8 cores).
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -15,11 +16,13 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "auth/auth_service.hpp"
 #include "circuit/delay_kernel.hpp"
 #include "ecc/bch.hpp"
 #include "fold_bench_util.hpp"
+#include "keygen/fuzzy_extractor.hpp"
 #include "keygen/sha256.hpp"
 #include "metrics/uniqueness.hpp"
 #include "puf/ro_puf.hpp"
@@ -135,20 +138,58 @@ void BM_BchEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_BchEncode)->Arg(4)->Arg(18);
 
+/// BchCode(m, t) decode of a word with up to t flips; (7, 10) is the
+/// key-mode code BCH(127, 64, 10).
 void BM_BchDecode(benchmark::State& state) {
-  const BchCode code(8, static_cast<int>(state.range(0)));
+  const int t = static_cast<int>(state.range(1));
+  const BchCode code(static_cast<int>(state.range(0)), t);
   Xoshiro256 rng(4);
   BitVector msg(code.k());
   for (std::size_t i = 0; i < msg.size(); ++i) msg.set(i, rng.bernoulli(0.5));
   BitVector noisy = code.encode(msg);
-  for (int e = 0; e < static_cast<int>(state.range(0)); ++e) {
+  for (int e = 0; e < t; ++e) {
     noisy.flip(static_cast<std::size_t>(rng.bounded(noisy.size())));
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(code.decode(noisy));
   }
 }
-BENCHMARK(BM_BchDecode)->Arg(4)->Arg(18);
+BENCHMARK(BM_BchDecode)->Args({8, 4})->Args({8, 18})->Args({7, 10});
+
+/// FuzzyExtractor::reconstruct on the key-mode scheme (rep-3 +
+/// BCH(127, 64, 10), 128-bit key, 762 raw bits) at the ARO 10-year raw BER
+/// of 7.9 %: XOR with the helper data, rep-3 vote, two BCH decodes, SHA-256.
+/// The gated row of the key-reconstruct path.
+void BM_KeyReconstruct(benchmark::State& state) {
+  ConcatenatedScheme scheme;
+  scheme.repetition = 3;
+  scheme.bch_m = 7;
+  scheme.bch_t = 10;
+  scheme.key_bits = 128;
+  const FuzzyExtractor extractor(scheme);
+  Xoshiro256 rng(6);
+  BitVector golden(extractor.response_bits());
+  for (std::size_t i = 0; i < golden.size(); ++i) golden.set(i, rng.bernoulli(0.5));
+  const Enrollment enrollment = extractor.enroll(golden, rng);
+  std::vector<BitVector> reads;
+  for (int r = 0; r < 256; ++r) {
+    BitVector read = golden;
+    for (std::size_t i = 0; i < read.size(); ++i) {
+      if (rng.bernoulli(0.079)) read.flip(i);
+    }
+    reads.push_back(std::move(read));
+  }
+  std::uint64_t recovered = 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto key = extractor.reconstruct(reads[next], enrollment.helper_data);
+    next = (next + 1) % reads.size();
+    recovered += key.has_value() && *key == enrollment.key ? 1 : 0;
+    benchmark::DoNotOptimize(recovered);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_KeyReconstruct);
 
 void BM_Sha256_1KiB(benchmark::State& state) {
   std::vector<std::uint8_t> data(1024);

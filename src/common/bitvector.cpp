@@ -122,9 +122,19 @@ bool BitVector::operator==(const BitVector& other) const noexcept {
 }
 
 BitVector BitVector::slice(std::size_t begin, std::size_t len) const {
-  ARO_REQUIRE(begin + len <= size_, "slice out of range");
+  // Written so neither side can wrap: begin + len overflows near SIZE_MAX.
+  ARO_REQUIRE(begin <= size_ && len <= size_ - begin, "slice out of range");
   BitVector out(len);
-  for (std::size_t i = 0; i < len; ++i) out.set(i, get(begin + i));
+  const std::size_t first = begin / kWordBits;
+  const std::size_t shift = begin % kWordBits;
+  for (std::size_t w = 0; w < out.words_.size(); ++w) {
+    std::uint64_t word = words_[first + w] >> shift;
+    if (shift != 0 && first + w + 1 < words_.size()) {
+      word |= words_[first + w + 1] << (kWordBits - shift);
+    }
+    out.words_[w] = word;
+  }
+  out.clear_padding();
   return out;
 }
 

@@ -1,7 +1,9 @@
 #include "ecc/bch.hpp"
 
 #include <algorithm>
-#include <set>
+#include <bit>
+#include <span>
+#include <vector>
 
 #include "common/check.hpp"
 
@@ -9,25 +11,61 @@ namespace aropuf {
 
 namespace {
 
-/// Cyclotomic coset of `i` modulo n = 2^m − 1 (the exponents of the
-/// conjugates alpha^(i·2^j)).
-std::set<std::uint32_t> cyclotomic_coset(std::uint32_t i, std::uint32_t n) {
-  std::set<std::uint32_t> coset;
-  std::uint32_t x = i % n;
-  while (coset.insert(x).second) {
-    x = static_cast<std::uint32_t>((static_cast<std::uint64_t>(x) * 2) % n);
-  }
-  return coset;
-}
+/// Exponents of the generator's roots: every conjugate class (cyclotomic
+/// coset modulo n = 2^m − 1) that meets alpha^1 .. alpha^2t.
+struct RootSet {
+  std::vector<bool> member;  ///< member[e]: alpha^e is a root of g(x)
+  std::size_t count = 0;
+};
 
-/// Exponents of all conjugate classes covering alpha^1 .. alpha^2t.
-std::set<std::uint32_t> generator_root_exponents(int t, std::uint32_t n) {
-  std::set<std::uint32_t> roots;
-  for (std::uint32_t i = 1; i <= 2U * static_cast<std::uint32_t>(t); ++i) {
-    const auto coset = cyclotomic_coset(i, n);
-    roots.insert(coset.begin(), coset.end());
+RootSet generator_roots(int t, std::uint32_t n) {
+  RootSet roots{std::vector<bool>(n, false), 0};
+  // Doubling walks the coset of i.  Cosets are disjoint cycles, so reaching
+  // a marked exponent means the whole class is already in.
+  const auto two_t = 2 * static_cast<std::uint64_t>(t);
+  for (std::uint64_t i = 1; i <= two_t && roots.count < n; ++i) {
+    for (auto x = static_cast<std::uint32_t>(i % n); !roots.member[x]; x = (2 * x) % n) {
+      roots.member[x] = true;
+      ++roots.count;
+    }
   }
   return roots;
+}
+
+std::uint32_t mul(const GF2m& f, std::uint32_t a, std::uint32_t b) noexcept {
+  if (a == 0 || b == 0) return 0;
+  return f.exp_table(f.log_table(a) + f.log_table(b));
+}
+
+/// XORs position p's terms alpha^(p·j) into the odd syndromes s[j − 1],
+/// j = 1, 3, .., 2t − 1; the exponent p·j mod n steps by 2p mod n.
+void add_odd_syndrome_terms(const GF2m& f, std::uint32_t p, std::span<std::uint32_t> s) {
+  const std::uint32_t n = f.order();
+  const std::uint32_t step = (2 * p) % n;
+  std::uint32_t e = p;
+  for (std::size_t j = 0; j < s.size(); j += 2) {
+    s[j] ^= f.exp_table(e);
+    e += step;
+    if (e >= n) e -= n;
+  }
+}
+
+/// Fills s with S_1 .. S_2t of `word`; true when all are zero.  The odd
+/// syndromes sum over the set bits; for a binary word S_2j = S_j^2.
+bool syndromes(const GF2m& f, const BitVector& word, std::span<std::uint32_t> s) {
+  std::fill(s.begin(), s.end(), 0);
+  const auto& words = word.words();
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      const auto p = static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+      add_odd_syndrome_terms(f, p, s);
+    }
+  }
+  for (std::size_t j = 1; 2 * j <= s.size(); ++j) {
+    const std::uint32_t sj = s[j - 1];
+    s[2 * j - 1] = sj == 0 ? 0 : f.exp_table(2 * f.log_table(sj));
+  }
+  return std::all_of(s.begin(), s.end(), [](std::uint32_t v) { return v == 0; });
 }
 
 }  // namespace
@@ -36,30 +74,29 @@ std::size_t BchCode::dimension(int m, int t) {
   ARO_REQUIRE(m >= 3 && m <= 14, "BCH supports m in [3, 14]");
   ARO_REQUIRE(t >= 1, "BCH needs t >= 1");
   const std::uint32_t n = (1U << m) - 1;
-  const auto roots = generator_root_exponents(t, n);
-  if (roots.size() >= n) return 0;
-  return n - roots.size();
+  const std::size_t roots = generator_roots(t, n).count;
+  if (roots >= n) return 0;
+  return n - roots;
 }
 
 BchCode::BchCode(int m, int t) : field_(m), t_(t), n_((1U << m) - 1) {
   ARO_REQUIRE(t >= 1, "BCH needs t >= 1");
   const auto n32 = static_cast<std::uint32_t>(n_);
-  const auto roots = generator_root_exponents(t, n32);
-  ARO_REQUIRE(roots.size() < n_, "design distance too large: empty code");
-  k_ = n_ - roots.size();
+  const RootSet roots = generator_roots(t, n32);
+  ARO_REQUIRE(roots.count < n_, "design distance too large: empty code");
+  k_ = n_ - roots.count;
 
   // g(x) = prod over root exponents e of (x - alpha^e), computed over
   // GF(2^m); the product of full conjugate classes has binary coefficients.
   std::vector<std::uint32_t> g{1};
-  g.reserve(roots.size() + 1);
-  for (const std::uint32_t e : roots) {
+  g.reserve(roots.count + 1);
+  for (std::uint32_t e = 0; e < n32; ++e) {
+    if (!roots.member[e]) continue;
     const std::uint32_t root = field_.alpha_pow(e);
-    std::vector<std::uint32_t> next(g.size() + 1, 0);
-    for (std::size_t i = 0; i < g.size(); ++i) {
-      next[i + 1] ^= g[i];                  // x * g_i
-      next[i] ^= field_.mul(g[i], root);    // root * g_i (char-2: add = xor)
-    }
-    g = std::move(next);
+    g.push_back(0);
+    // g <- (x + root) g, highest coefficient first (char-2: add = xor).
+    for (std::size_t i = g.size() - 1; i > 0; --i) g[i] = g[i - 1] ^ field_.mul(g[i], root);
+    g[0] = field_.mul(g[0], root);
   }
   generator_ = BitVector(g.size());
   for (std::size_t i = 0; i < g.size(); ++i) {
@@ -93,85 +130,96 @@ BitVector BchCode::encode(const BitVector& message) const {
   return codeword;
 }
 
-std::vector<std::uint32_t> BchCode::syndromes(const BitVector& received) const {
-  std::vector<std::uint32_t> s(static_cast<std::size_t>(2 * t_), 0);
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (!received.get(i)) continue;
-    for (int j = 1; j <= 2 * t_; ++j) {
-      s[static_cast<std::size_t>(j - 1)] ^=
-          field_.alpha_pow(static_cast<std::int64_t>(i) * j);
-    }
-  }
-  return s;
-}
-
 bool BchCode::is_codeword(const BitVector& word) const {
   ARO_REQUIRE(word.size() == n_, "word length must equal n");
-  const auto s = syndromes(word);
-  return std::all_of(s.begin(), s.end(), [](std::uint32_t v) { return v == 0; });
+  std::vector<std::uint32_t> s(2 * static_cast<std::size_t>(t_));
+  return syndromes(field_, word, s);
 }
 
 std::optional<BitVector> BchCode::decode(const BitVector& received) const {
   ARO_REQUIRE(received.size() == n_, "received length must equal n");
-  const auto s = syndromes(received);
-  if (std::all_of(s.begin(), s.end(), [](std::uint32_t v) { return v == 0; })) {
-    return received;
-  }
+  const auto n = static_cast<std::uint32_t>(n_);
+  const auto t = static_cast<std::size_t>(t_);
+  const std::size_t two_t = 2 * t;
+  // One buffer per call: the syndromes; Berlekamp–Massey's C(x), B(x) and
+  // the copy of C(x) a length change keeps (each of degree <= 2t); then the
+  // Chien terms and the error positions (at most t each).
+  std::vector<std::uint32_t> work(two_t + 3 * (two_t + 1) + 3 * t, 0);
+  const std::span<std::uint32_t> s(work.data(), two_t);
+  if (syndromes(field_, received, s)) return received;
+  std::uint32_t* sigma = s.data() + two_t;  // C(x), the error locator
+  std::uint32_t* prev = sigma + two_t + 1;  // B(x)
+  std::uint32_t* saved = prev + two_t + 1;
+  std::uint32_t* term_exp = saved + two_t + 1;
+  std::uint32_t* term_deg = term_exp + t;
+  std::uint32_t* positions = term_deg + t;
 
-  // Berlekamp–Massey: find the minimal error-locator sigma(x).
-  std::vector<std::uint32_t> sigma{1};   // C(x)
-  std::vector<std::uint32_t> prev{1};    // B(x)
+  // Berlekamp–Massey: the shortest LFSR C(x) generating S_1 .. S_2t.  Every
+  // coefficient of C and of x^shift B stays within degree l <= 2t.
+  sigma[0] = 1;
+  prev[0] = 1;
   std::size_t l = 0;
-  std::size_t shift = 1;                 // m in the classic formulation
-  std::uint32_t prev_disc = 1;           // b
-
-  for (std::size_t step = 0; step < static_cast<std::size_t>(2 * t_); ++step) {
+  std::size_t prev_l = 0;       // degree bound of B(x)
+  std::size_t shift = 1;        // m in the classic formulation
+  std::uint32_t prev_disc = 1;  // b
+  for (std::size_t step = 0; step < two_t; ++step) {
     std::uint32_t disc = s[step];
-    for (std::size_t i = 1; i <= l && i < sigma.size(); ++i) {
-      if (step >= i) disc ^= field_.mul(sigma[i], s[step - i]);
-    }
+    for (std::size_t i = 1; i <= l; ++i) disc ^= mul(field_, sigma[i], s[step - i]);
     if (disc == 0) {
       ++shift;
       continue;
     }
-    // C(x) -= (d / b) x^shift B(x)
-    std::vector<std::uint32_t> next = sigma;
-    const std::uint32_t factor = field_.div(disc, prev_disc);
-    if (next.size() < prev.size() + shift) next.resize(prev.size() + shift, 0);
-    for (std::size_t i = 0; i < prev.size(); ++i) {
-      next[i + shift] ^= field_.mul(factor, prev[i]);
+    const bool grows = 2 * l <= step;
+    if (grows) std::copy_n(sigma, two_t + 1, saved);
+    // C(x) -= (d / b) x^shift B(x), with log(d / b) in [0, n).
+    std::uint32_t log_factor = field_.log_table(disc) + n - field_.log_table(prev_disc);
+    if (log_factor >= n) log_factor -= n;
+    for (std::size_t i = 0; i <= prev_l; ++i) {
+      if (prev[i] == 0) continue;
+      sigma[i + shift] ^= field_.exp_table(log_factor + field_.log_table(prev[i]));
     }
-    if (2 * l <= step) {
-      prev = sigma;
+    if (grows) {
+      std::swap(prev, saved);
+      prev_l = l;
       prev_disc = disc;
       l = step + 1 - l;
       shift = 1;
     } else {
       ++shift;
     }
-    sigma = std::move(next);
   }
+  if (l > t) return std::nullopt;
 
-  if (l > static_cast<std::size_t>(t_)) return std::nullopt;
-
-  // Chien search: error at position p iff sigma(alpha^(-p)) == 0.
-  BitVector corrected = received;
+  // Chien search: error at position p iff sigma(alpha^(-p)) == 0.  Term i's
+  // exponent log(sigma_i) − i·p steps down by i per position; deg(sigma) <= l,
+  // so the search may stop at the l-th root.
+  std::size_t terms = 0;
+  for (std::size_t i = 1; i <= l; ++i) {
+    if (sigma[i] == 0) continue;
+    term_exp[terms] = field_.log_table(sigma[i]);
+    term_deg[terms] = static_cast<std::uint32_t>(i);
+    ++terms;
+  }
   std::size_t found = 0;
-  for (std::size_t p = 0; p < n_; ++p) {
-    std::uint32_t value = 0;
-    for (std::size_t i = 0; i < sigma.size(); ++i) {
-      if (sigma[i] == 0) continue;
-      const std::int64_t e = static_cast<std::int64_t>(field_.log(sigma[i])) -
-                             static_cast<std::int64_t>(i * p);
-      value ^= field_.alpha_pow(e);
+  for (std::uint32_t p = 0; p < n && found < l; ++p) {
+    std::uint32_t value = sigma[0];
+    for (std::size_t k = 0; k < terms; ++k) {
+      value ^= field_.exp_table(term_exp[k]);
+      term_exp[k] = term_exp[k] >= term_deg[k] ? term_exp[k] - term_deg[k]
+                                               : term_exp[k] + n - term_deg[k];
     }
-    if (value == 0) {
-      corrected.flip(p);
-      ++found;
-    }
+    if (value == 0) positions[found++] = p;
   }
   if (found != l) return std::nullopt;
-  if (!is_codeword(corrected)) return std::nullopt;
+
+  // The corrected word is a codeword iff the error positions' odd syndromes
+  // cancel the received ones (the even ones are their squares).
+  for (std::size_t e = 0; e < found; ++e) add_odd_syndrome_terms(field_, positions[e], s);
+  for (std::size_t j = 0; j < two_t; j += 2) {
+    if (s[j] != 0) return std::nullopt;
+  }
+  BitVector corrected = received;
+  for (std::size_t e = 0; e < found; ++e) corrected.flip(positions[e]);
   return corrected;
 }
 

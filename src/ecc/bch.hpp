@@ -10,12 +10,13 @@
 // This is a faithful implementation — syndromes, the error-locator via BM,
 // and root search via Chien — not a behavioural stub, because the E7 area
 // bench derives decoder complexity from the same (m, t) parameters that
-// drive this decoder, and the keygen tests exercise real correction.
+// drive this decoder, and the keygen tests exercise real correction.  The
+// decoder runs on the field's log/antilog tables: it is the key-reconstruct
+// hot path (rep-3 + BCH(127,64,10) per verify_key).
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/bitvector.hpp"
 #include "ecc/gf2m.hpp"
@@ -39,8 +40,10 @@ class BchCode {
   /// Systematic encode: returns the n-bit codeword [parity | message].
   [[nodiscard]] BitVector encode(const BitVector& message) const;
 
-  /// Decodes an n-bit word; corrects up to t errors.  Returns std::nullopt
-  /// on decoder failure (more than t errors detected).
+  /// Bounded-distance decode of an n-bit word: the unique codeword within
+  /// distance t of `received`, or std::nullopt when the decoder detects more
+  /// than t errors (the locator is too long, its roots do not number its
+  /// degree, or the corrected word is not a codeword).
   [[nodiscard]] std::optional<BitVector> decode(const BitVector& received) const;
 
   /// Extracts the message bits from a (corrected) codeword.
@@ -54,8 +57,6 @@ class BchCode {
   [[nodiscard]] static std::size_t dimension(int m, int t);
 
  private:
-  [[nodiscard]] std::vector<std::uint32_t> syndromes(const BitVector& received) const;
-
   GF2m field_;
   int t_;
   std::size_t n_;

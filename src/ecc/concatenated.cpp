@@ -7,17 +7,22 @@
 
 namespace aropuf {
 
+namespace {
+
+std::size_t blocks_for(int key_bits, std::size_t k) {
+  ARO_REQUIRE(k >= 1, "BCH (m, t) combination has no information bits");
+  return (static_cast<std::size_t>(key_bits) + k - 1) / k;
+}
+
+}  // namespace
+
 void ConcatenatedScheme::validate() const {
   ARO_REQUIRE(repetition >= 1 && repetition % 2 == 1, "repetition must be odd and >= 1");
   ARO_REQUIRE(key_bits >= 1, "key must have at least one bit");
   ARO_REQUIRE(bch_k() >= 1, "BCH (m, t) combination has no information bits");
 }
 
-std::size_t ConcatenatedScheme::blocks() const {
-  const std::size_t k = bch_k();
-  ARO_REQUIRE(k >= 1, "BCH (m, t) combination has no information bits");
-  return (static_cast<std::size_t>(key_bits) + k - 1) / k;
-}
+std::size_t ConcatenatedScheme::blocks() const { return blocks_for(key_bits, bch_k()); }
 
 double ConcatenatedScheme::block_failure_probability(double raw_ber) const {
   const RepetitionCode rep(repetition);
@@ -35,6 +40,8 @@ double ConcatenatedScheme::key_failure_probability(double raw_ber) const {
 ConcatenatedCode::ConcatenatedCode(const ConcatenatedScheme& scheme)
     : scheme_(scheme), rep_(scheme.repetition), bch_(scheme.bch_m, scheme.bch_t) {
   scheme_.validate();
+  blocks_ = blocks_for(scheme_.key_bits, bch_.k());
+  raw_bits_ = blocks_ * bch_.n() * static_cast<std::size_t>(rep_.r());
 }
 
 BitVector ConcatenatedCode::encode(const BitVector& key) const {
@@ -42,7 +49,7 @@ BitVector ConcatenatedCode::encode(const BitVector& key) const {
               "key length must match the scheme");
   const std::size_t k = bch_.k();
   BitVector out;
-  for (std::size_t block = 0; block < scheme_.blocks(); ++block) {
+  for (std::size_t block = 0; block < blocks_; ++block) {
     BitVector message(k);
     for (std::size_t i = 0; i < k; ++i) {
       const std::size_t key_index = block * k + i;
@@ -50,15 +57,15 @@ BitVector ConcatenatedCode::encode(const BitVector& key) const {
     }
     out = out.concat(rep_.encode(bch_.encode(message)));
   }
-  ARO_ASSERT(out.size() == scheme_.raw_bits(), "encoded length mismatch");
+  ARO_ASSERT(out.size() == raw_bits_, "encoded length mismatch");
   return out;
 }
 
 std::optional<BitVector> ConcatenatedCode::decode(const BitVector& received) const {
-  ARO_REQUIRE(received.size() == scheme_.raw_bits(), "received length must match the scheme");
+  ARO_REQUIRE(received.size() == raw_bits_, "received length must match the scheme");
   const std::size_t block_raw = bch_.n() * static_cast<std::size_t>(rep_.r());
   BitVector key(static_cast<std::size_t>(scheme_.key_bits));
-  for (std::size_t block = 0; block < scheme_.blocks(); ++block) {
+  for (std::size_t block = 0; block < blocks_; ++block) {
     const BitVector voted = rep_.decode(received.slice(block * block_raw, block_raw));
     const auto corrected = bch_.decode(voted);
     if (!corrected.has_value()) return std::nullopt;

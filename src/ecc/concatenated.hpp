@@ -52,6 +52,11 @@ class ConcatenatedCode {
   [[nodiscard]] const BchCode& bch() const noexcept { return bch_; }
   [[nodiscard]] const RepetitionCode& repetition() const noexcept { return rep_; }
 
+  /// scheme().blocks() and scheme().raw_bits(), fixed at construction so
+  /// encode/decode never rebuild the code's shape.
+  [[nodiscard]] std::size_t blocks() const noexcept { return blocks_; }
+  [[nodiscard]] std::size_t raw_bits() const noexcept { return raw_bits_; }
+
   /// key_bits → raw_bits codeword (zero-padding inside the last block).
   [[nodiscard]] BitVector encode(const BitVector& key) const;
 
@@ -62,6 +67,8 @@ class ConcatenatedCode {
   ConcatenatedScheme scheme_;
   RepetitionCode rep_;
   BchCode bch_;
+  std::size_t blocks_ = 0;
+  std::size_t raw_bits_ = 0;
 };
 
 }  // namespace aropuf

@@ -85,7 +85,8 @@ std::uint32_t GF2m::pow(std::uint32_t a, std::uint64_t e) const {
   ARO_REQUIRE(a < size_, "operand outside field");
   if (e == 0) return 1;
   if (a == 0) return 0;
-  const std::uint64_t le = (static_cast<std::uint64_t>(log_[a]) * e) % order();
+  // Reduce e first: log_[a] * e would wrap 64 bits for e >= 2^50.
+  const std::uint64_t le = (static_cast<std::uint64_t>(log_[a]) * (e % order())) % order();
   return exp_[static_cast<std::size_t>(le)];
 }
 

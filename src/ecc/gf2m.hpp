@@ -44,6 +44,11 @@ class GF2m {
   /// a^e for field element a (e >= 0).
   [[nodiscard]] std::uint32_t pow(std::uint32_t a, std::uint64_t e) const;
 
+  /// Unchecked table reads for decoder inner loops that keep their operands
+  /// in range: alpha^e for e in [0, 2·order()), log(a) for a in [1, size()).
+  [[nodiscard]] std::uint32_t exp_table(std::uint32_t e) const noexcept { return exp_[e]; }
+  [[nodiscard]] std::uint32_t log_table(std::uint32_t a) const noexcept { return log_[a]; }
+
   /// The conventional primitive polynomial for m in [3, 14].
   [[nodiscard]] static std::uint32_t default_primitive_poly(int m);
 

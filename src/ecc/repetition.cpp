@@ -1,5 +1,8 @@
 #include "ecc/repetition.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/check.hpp"
 #include "common/statistics.hpp"
 
@@ -21,16 +24,24 @@ BitVector RepetitionCode::encode(const BitVector& message) const {
 }
 
 BitVector RepetitionCode::decode(const BitVector& received) const {
-  ARO_REQUIRE(received.size() % static_cast<std::size_t>(r_) == 0,
-              "received length must be a multiple of r");
-  const std::size_t bits = received.size() / static_cast<std::size_t>(r_);
+  const auto r = static_cast<std::size_t>(r_);
+  ARO_REQUIRE(received.size() % r == 0, "received length must be a multiple of r");
+  const std::size_t bits = received.size() / r;
+  const auto& words = received.words();
   BitVector out(bits);
-  for (std::size_t i = 0; i < bits; ++i) {
-    int ones = 0;
-    for (int j = 0; j < r_; ++j) {
-      ones += received.get(i * static_cast<std::size_t>(r_) + static_cast<std::size_t>(j)) ? 1 : 0;
+  // Majority of the r copies of bit i, bits [i·r, i·r + r): a popcount of
+  // the window, read a word at a time (r = 3 spans at most two words).
+  for (std::size_t i = 0, begin = 0; i < bits; ++i, begin += r) {
+    std::size_t ones = 0;
+    for (std::size_t pos = begin, end = begin + r; pos < end;) {
+      const std::size_t offset = pos % 64;
+      const std::size_t take = std::min<std::size_t>(end - pos, 64 - offset);
+      std::uint64_t chunk = words[pos / 64] >> offset;
+      if (take < 64) chunk &= (std::uint64_t{1} << take) - 1;
+      ones += static_cast<std::size_t>(std::popcount(chunk));
+      pos += take;
     }
-    out.set(i, 2 * ones > r_);
+    if (2 * ones > r) out.set(i, true);
   }
   return out;
 }

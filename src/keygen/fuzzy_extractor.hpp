@@ -34,7 +34,7 @@ class FuzzyExtractor {
   explicit FuzzyExtractor(const ConcatenatedScheme& scheme);
 
   /// Raw PUF response bits the extractor consumes per key.
-  [[nodiscard]] std::size_t response_bits() const { return code_.scheme().raw_bits(); }
+  [[nodiscard]] std::size_t response_bits() const noexcept { return code_.raw_bits(); }
 
   /// Enrolls from a golden response; randomness for the secret comes from
   /// `rng` (in silicon: a TRNG or fab-side provisioning).

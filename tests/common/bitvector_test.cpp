@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace aropuf {
@@ -92,6 +93,12 @@ TEST(BitVectorTest, SliceExtractsRange) {
   EXPECT_EQ(v.slice(2, 5).to_string(), "10100");
   EXPECT_EQ(v.slice(0, 0).size(), 0U);
   EXPECT_THROW(v.slice(6, 5), std::invalid_argument);
+  EXPECT_THROW(v.slice(SIZE_MAX - 1, 3), std::invalid_argument);  // begin + len wraps
+
+  // A range that starts mid-word and straddles word boundaries.
+  std::string bits;
+  for (int i = 0; i < 200; ++i) bits += (i % 3 == 0 || i % 7 == 0) ? '1' : '0';
+  EXPECT_EQ(BitVector::from_string(bits).slice(61, 130).to_string(), bits.substr(61, 130));
 }
 
 TEST(BitVectorTest, ConcatPreservesOrder) {

@@ -1,9 +1,14 @@
 // Randomized property sweep over the BCH codec: for arbitrary codes,
 // messages, and error patterns, decoding within capability always restores
-// the codeword, and decoding never fabricates a non-codeword.
+// the codeword, and decoding never fabricates a non-codeword.  For small
+// codes an exhaustive oracle fixes decode() exactly: the unique codeword
+// within distance t, or std::nullopt when there is none.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <set>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "ecc/bch.hpp"
@@ -65,7 +70,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SweepCase{4, 2, 1}, SweepCase{5, 2, 2}, SweepCase{5, 5, 3},
                       SweepCase{6, 3, 4}, SweepCase{6, 7, 5}, SweepCase{7, 4, 6},
                       SweepCase{7, 9, 7}, SweepCase{8, 6, 8}, SweepCase{8, 22, 9},
-                      SweepCase{9, 12, 10}),
+                      SweepCase{9, 12, 10}, SweepCase{7, 10, 11}),
     [](const auto& info) {
       std::string name = "m";
       name += std::to_string(info.param.m);
@@ -73,6 +78,102 @@ INSTANTIATE_TEST_SUITE_P(
       name += std::to_string(info.param.t);
       return name;
     });
+
+struct SmallCode {
+  int m;
+  int t;
+};
+
+/// Every codeword of a code with n <= 31, as bit masks in ascending order:
+/// the multiples u(x)·g(x), deg u < k, built from the generator alone (Gray
+/// order: one shifted g(x) per step).
+std::vector<std::uint32_t> all_codewords(const BchCode& code) {
+  std::uint32_t g = 0;
+  for (std::size_t i = 0; i < code.generator().size(); ++i) {
+    if (code.generator().get(i)) g |= std::uint32_t{1} << i;
+  }
+  std::vector<std::uint32_t> words{0};
+  std::uint32_t word = 0;
+  for (std::uint32_t u = 1; u < (std::uint32_t{1} << code.k()); ++u) {
+    word ^= g << std::countr_zero(u);
+    words.push_back(word);
+  }
+  std::sort(words.begin(), words.end());
+  return words;
+}
+
+/// The codewords within distance t of w, found by trying every error
+/// pattern of weight <= t.
+std::vector<std::uint32_t> codewords_within(std::uint32_t w, int n, int t,
+                                            const std::vector<std::uint32_t>& codewords) {
+  std::vector<std::uint32_t> hits;
+  const auto visit = [&](const auto& self, std::uint32_t e, int from, int left) -> void {
+    if (std::binary_search(codewords.begin(), codewords.end(), w ^ e)) hits.push_back(w ^ e);
+    if (left == 0) return;
+    for (int p = from; p < n; ++p) self(self, e | (std::uint32_t{1} << p), p + 1, left - 1);
+  };
+  visit(visit, 0, 0, t);
+  return hits;
+}
+
+BitVector to_bits(std::uint32_t mask, int n) {
+  BitVector v(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) v.set(static_cast<std::size_t>(i), ((mask >> i) & 1U) != 0);
+  return v;
+}
+
+class BchOracleTest : public ::testing::TestWithParam<SmallCode> {};
+
+TEST_P(BchOracleTest, DecodesToTheUniqueCodewordWithinT) {
+  const auto [m, t] = GetParam();
+  const BchCode code(m, t);
+  const auto n = static_cast<int>(code.n());
+  const auto codewords = all_codewords(code);
+  ASSERT_EQ(codewords.size(), std::size_t{1} << code.k());
+  ASSERT_EQ(std::adjacent_find(codewords.begin(), codewords.end()), codewords.end());
+
+  int corrected = 0;
+  int rejected = 0;
+  const auto check = [&](std::uint32_t w) {
+    const auto hits = codewords_within(w, n, t, codewords);
+    ASSERT_LE(hits.size(), 1U) << "design distance below 2t + 1";
+    const auto decoded = code.decode(to_bits(w, n));
+    if (hits.empty()) {
+      EXPECT_FALSE(decoded.has_value()) << "word " << w;
+      ++rejected;
+    } else {
+      ASSERT_TRUE(decoded.has_value()) << "word " << w;
+      EXPECT_EQ(*decoded, to_bits(hits[0], n)) << "word " << w;
+      ++corrected;
+    }
+  };
+  Xoshiro256 rng(static_cast<std::uint64_t>(100 * m + t));
+  for (int weight = 0; weight <= 2 * t + 2; ++weight) {
+    for (int trial = 0; trial < 64; ++trial) {
+      std::uint32_t error = 0;
+      while (std::popcount(error) < weight) {
+        error |= std::uint32_t{1} << rng.bounded(static_cast<std::uint64_t>(n));
+      }
+      check(codewords[rng.bounded(codewords.size())] ^ error);
+    }
+  }
+  for (int trial = 0; trial < 512; ++trial) {
+    check(static_cast<std::uint32_t>(rng.bounded(std::uint64_t{1} << n)));
+  }
+  EXPECT_GT(corrected, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(SmallCodes, BchOracleTest,
+                         ::testing::Values(SmallCode{4, 2}, SmallCode{4, 3}, SmallCode{5, 3},
+                                           SmallCode{5, 2}),
+                         [](const auto& info) {
+                           std::string name = "m";
+                           name += std::to_string(info.param.m);
+                           name += "t";
+                           name += std::to_string(info.param.t);
+                           return name;
+                         });
 
 // Dimension table property: k is non-increasing in t and bounded by n - m*t.
 TEST(BchDimensionPropertyTest, SingletonAndMonotonicity) {

@@ -112,7 +112,7 @@ TEST_P(BchCorrectionTest, CorrectsUpToTErrors) {
 INSTANTIATE_TEST_SUITE_P(Codes, BchCorrectionTest,
                          ::testing::Values(BchCase{4, 1}, BchCase{4, 2}, BchCase{4, 3},
                                            BchCase{5, 3}, BchCase{6, 4}, BchCase{7, 5},
-                                           BchCase{8, 8}, BchCase{8, 18}),
+                                           BchCase{7, 10}, BchCase{8, 8}, BchCase{8, 18}),
                          [](const auto& info) {
                            return "m" + std::to_string(info.param.m) + "t" +
                                   std::to_string(info.param.t);

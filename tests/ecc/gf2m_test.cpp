@@ -112,6 +112,14 @@ TEST(GF2mTest, PowMatchesRepeatedMultiplication) {
   }
   EXPECT_EQ(f.pow(0, 0), 1U);
   EXPECT_EQ(f.pow(0, 5), 0U);
+
+  // Exponent past 2^50: log(a) * e must not wrap 64 bits.  Oracle: a^(2^63)
+  // by 63 squarings.
+  const GF2m g(4);
+  const std::uint32_t a = g.alpha_pow(3);
+  std::uint32_t squared = a;
+  for (int i = 0; i < 63; ++i) squared = g.mul(squared, squared);
+  EXPECT_EQ(g.pow(a, std::uint64_t{1} << 63), squared);
 }
 
 TEST(GF2mTest, OperandRangeChecked) {

@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 
+#include "common/rng.hpp"
+
 namespace aropuf {
 namespace {
 
@@ -31,6 +33,21 @@ TEST(RepetitionTest, DecodeMajorityVotes) {
   const RepetitionCode code(3);
   // Groups: 110 -> 1, 001 -> 0, 111 -> 1.
   EXPECT_EQ(code.decode(BitVector::from_string("110001111")).to_string(), "101");
+
+  // Groups that straddle 64-bit words (r = 3: bits 63..65) or span several
+  // (r = 129), against a bit-by-bit count.
+  Xoshiro256 rng(5);
+  for (const std::size_t r : {3UL, 129UL}) {
+    BitVector word(r * 40);
+    for (std::size_t i = 0; i < word.size(); ++i) word.set(i, rng.bernoulli(0.5));
+    const BitVector voted = RepetitionCode(static_cast<int>(r)).decode(word);
+    ASSERT_EQ(voted.size(), 40U);
+    for (std::size_t b = 0; b < voted.size(); ++b) {
+      std::size_t ones = 0;
+      for (std::size_t j = 0; j < r; ++j) ones += word.get(b * r + j) ? 1 : 0;
+      EXPECT_EQ(voted.get(b), 2 * ones > r) << "r=" << r << " group " << b;
+    }
+  }
 }
 
 TEST(RepetitionTest, RoundTripWithoutErrors) {
