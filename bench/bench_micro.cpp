@@ -63,7 +63,8 @@ void attach_hw_counters(benchmark::State& state, const telemetry::CounterReader&
 void BM_RoFrequency(benchmark::State& state) {
   const DieVariation die(tech(), 1);
   Xoshiro256 rng(2);
-  const RingOscillator ro(tech(), static_cast<int>(state.range(0)), {0.0, 0.0}, die, rng);
+  const RingOscillator ro(tech(), static_cast<int>(state.range(0)), {0.0, 0.0},
+                          die.static_offset({0.0, 0.0}), die, rng);
   const OperatingPoint op{tech().vdd_nominal, tech().temp_nominal};
   for (auto _ : state) {
     benchmark::DoNotOptimize(ro.frequency(op));

@@ -8,12 +8,13 @@ namespace aropuf {
 namespace {
 
 // `static_offset` is the die's position-dependent (global + spatial +
-// systematic) Vth component, hoisted by the caller: all 2*stages devices of
-// an RO share one position, and the spatially correlated field is by far the
-// most expensive variation component to evaluate (a 7x7 anchor convolution),
-// so evaluating it once per RO instead of once per device cuts chip
-// construction cost by an order of magnitude without changing a single bit
-// (the per-device sum  static + local  keeps the historical association).
+// systematic) Vth component, hoisted out of the device loop: all 2*stages
+// devices of an RO share one position, and the spatially correlated field is
+// the most expensive variation component to evaluate (a 7x7 anchor
+// convolution).  RoPuf goes one step further and evaluates the field for the
+// whole array at once (DieVariation::static_offsets).  Neither hoist changes
+// a bit: the per-device sum  static + local  keeps the historical
+// association.
 Transistor make_device(DeviceType type, const TechnologyParams& tech, Volts static_offset,
                        const DieVariation& die, Xoshiro256& rng) {
   Transistor t;
@@ -33,12 +34,11 @@ Transistor make_device(DeviceType type, const TechnologyParams& tech, Volts stat
 }  // namespace
 
 RingOscillator::RingOscillator(const TechnologyParams& tech, int num_stages, Position pos,
-                               const DieVariation& die, Xoshiro256& rng)
+                               Volts static_offset, const DieVariation& die, Xoshiro256& rng)
     : tech_(&tech), delay_(tech), pos_(pos) {
   ARO_REQUIRE(num_stages >= 3 && num_stages % 2 == 1,
               "ring oscillator needs an odd stage count >= 3");
   stages_.reserve(static_cast<std::size_t>(num_stages));
-  const Volts static_offset = die.static_offset(pos);
   for (int s = 0; s < num_stages; ++s) {
     Stage stage;
     stage.pmos = make_device(DeviceType::kPmos, tech, static_offset, die, rng);

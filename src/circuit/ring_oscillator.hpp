@@ -28,9 +28,11 @@ class RingOscillator {
   };
 
   /// Builds an RO of `num_stages` inverting stages (stage 0 is the NAND
-  /// enable stage) at die position `pos`, drawing per-device variation from
-  /// `die` and `rng`.
-  RingOscillator(const TechnologyParams& tech, int num_stages, Position pos,
+  /// enable stage) at die position `pos`.  `static_offset` is the die's
+  /// position-dependent Vth component there (DieVariation::static_offset, or
+  /// one element of a whole array's DieVariation::static_offsets); each
+  /// device adds its own variation drawn from `die` and `rng`.
+  RingOscillator(const TechnologyParams& tech, int num_stages, Position pos, Volts static_offset,
                  const DieVariation& die, Xoshiro256& rng);
 
   /// Oscillation frequency at `op` including all accumulated aging.

@@ -28,12 +28,18 @@ RoPuf::RoPuf(const TechnologyParams& tech, PufConfig config, RngFabric fabric)
   tech_->validate();
   config_.validate();
   const DieVariation die(*tech_, fabric_.derive("die-variation"));
-  ros_.reserve(static_cast<std::size_t>(config_.num_ros));
-  for (int i = 0; i < config_.num_ros; ++i) {
-    const Position pos{static_cast<double>(i % config_.array_width),
-                       static_cast<double>(i / config_.array_width)};
-    Xoshiro256 device_rng = fabric_.stream("devices", static_cast<std::uint64_t>(i));
-    ros_.emplace_back(*tech_, config_.stages, pos, die, device_rng);
+  const auto num_ros = static_cast<std::size_t>(config_.num_ros);
+  const auto width = static_cast<std::size_t>(config_.array_width);
+  std::vector<Position> positions(num_ros);
+  for (std::size_t i = 0; i < num_ros; ++i) {
+    positions[i] = {static_cast<double>(i % width), static_cast<double>(i / width)};
+  }
+  // One spatial-field evaluation for the whole die, not one per RO.
+  const std::vector<Volts> static_offsets = die.static_offsets(positions);
+  ros_.reserve(num_ros);
+  for (std::size_t i = 0; i < num_ros; ++i) {
+    Xoshiro256 device_rng = fabric_.stream("devices", i);
+    ros_.emplace_back(*tech_, config_.stages, positions[i], static_offsets[i], die, device_rng);
   }
   pairs_ = make_pairs(config_.pairing, config_.num_ros, config_.challenge_seed);
   soa_ = RoArraySoA::from_oscillators(ros_);

@@ -54,13 +54,20 @@ std::vector<RoPuf> build_chip_range(const PopulationConfig& pop, const PufConfig
 
 /// Golden (fresh, eval 0) responses of the WHOLE population — the pair study
 /// needs every chip's response regardless of which pair range this shard
-/// owns.  Chips are built, evaluated, and dropped one at a time.
-std::vector<BitVector> all_golden_responses(const PopulationConfig& pop, const PufConfig& puf) {
+/// owns.  `own` holds the responses of chips [lo, lo + own.size()), which
+/// E2 already read from the same fresh dies at the same corner; only the
+/// other chips are built, evaluated, and dropped one at a time.
+std::vector<BitVector> all_golden_responses(const PopulationConfig& pop, const PufConfig& puf,
+                                            std::size_t lo, std::vector<BitVector> own) {
+  const auto chips = static_cast<std::size_t>(pop.chips);
+  const std::size_t hi = lo + own.size();
   const telemetry::TraceScope span("all_golden_responses", "shard",
                                    {{"chips", JsonValue(pop.chips)}});
+  telemetry::MetricsRegistry::global().counter("study.chips_built").add(chips - own.size());
   const OperatingPoint op = nominal_operating_point(pop.tech);
   const RngFabric fabric(pop.seed);
-  return parallel_map_chips(static_cast<std::size_t>(pop.chips), [&](std::size_t i) {
+  return parallel_map_chips(chips, [&](std::size_t i) {
+    if (i >= lo && i < hi) return std::move(own[i - lo]);
     const RoPuf chip(pop.tech, puf, fabric.child("chip", static_cast<std::uint64_t>(i)));
     return chip.evaluate(op, /*eval_index=*/0);
   });
@@ -108,11 +115,14 @@ ShardStudyResult run_shard_study(const ShardStudyConfig& cfg, std::size_t index,
   const OperatingPoint op = nominal_operating_point(cfg.pop.tech);
 
   for (const auto& [key, puf] : designs) {
+    // The shard's own chips' golden responses: read by E2, reused by E3.
+    std::vector<BitVector> golden;
+
     // --- E2: aging flip series over the shard's chip range ----------------
     {
       const telemetry::StageTimer stage("shard.e2[" + key + "]");
       auto chips = build_chip_range(cfg.pop, puf, chip_lo, chip_hi);
-      const auto golden = parallel_map_chips(
+      golden = parallel_map_chips(
           chips.size(), [&](std::size_t c) { return chips[c].evaluate(op, /*eval_index=*/0); });
       ++units_done;
       report("e2." + key + ".build");
@@ -148,7 +158,8 @@ ShardStudyResult run_shard_study(const ShardStudyConfig& cfg, std::size_t index,
     // --- E3: uniqueness tally over the shard's pair range -----------------
     {
       const telemetry::StageTimer stage("shard.e3[" + key + "]");
-      const std::vector<BitVector> responses = all_golden_responses(cfg.pop, puf);
+      const std::vector<BitVector> responses =
+          all_golden_responses(cfg.pop, puf, chip_lo, std::move(golden));
       ++units_done;
       report("e3." + key + ".responses");
 

@@ -23,8 +23,10 @@
 // Chips are identified by their global index: chip i is always the die drawn
 // from RngFabric(seed).child("chip", i), so shard boundaries never change
 // which silicon is simulated (the same guarantee make_population gives).
-// Every shard builds all N golden responses for the pair study (O(N) work)
-// but only owns the pair range it tallies (the O(N^2) part that matters).
+// Every shard needs all N golden responses for the pair study (O(N) work):
+// it reuses the eval-0 responses its E2 read from its own chips [lo, hi)
+// and builds the other N - (hi - lo) dies.  It only owns the pair range it
+// tallies (the O(N^2) part that matters).
 #pragma once
 
 #include <cstdint>

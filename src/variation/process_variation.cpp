@@ -14,6 +14,15 @@ DieVariation::DieVariation(const TechnologyParams& tech, std::uint64_t die_seed)
   tech.validate();
 }
 
+std::vector<Volts> DieVariation::static_offsets(std::span<const Position> positions) const {
+  std::vector<Volts> offsets(positions.size());
+  field_.evaluate(positions, offsets);
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    offsets[i] = combine(positions[i], offsets[i]);
+  }
+  return offsets;
+}
+
 Volts DieVariation::systematic_offset(Position p) const noexcept {
   const double amp = tech_->layout_systematic_amplitude;
   if (amp == 0.0) return 0.0;

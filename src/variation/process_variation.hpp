@@ -15,6 +15,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -34,7 +36,7 @@ class DieVariation {
   [[nodiscard]] Volts global_offset() const noexcept { return global_; }
 
   /// Within-die correlated component at `p` (die-specific).
-  [[nodiscard]] Volts spatial_offset(Position p) const noexcept { return field_(p); }
+  [[nodiscard]] Volts spatial_offset(Position p) const { return field_(p); }
 
   /// Layout-systematic component at `p` (identical on all dies).
   [[nodiscard]] Volts systematic_offset(Position p) const noexcept;
@@ -49,16 +51,27 @@ class DieVariation {
   /// so callers hoist this per RO and add local_sample() per device; the sum
   /// keeps total_offset()'s left-to-right association, so the hoist is
   /// bit-identical.
-  [[nodiscard]] Volts static_offset(Position p) const noexcept {
-    return global_ + spatial_offset(p) + systematic_offset(p);
+  [[nodiscard]] Volts static_offset(Position p) const {
+    return combine(p, spatial_offset(p));
   }
 
+  /// static_offset() at every position of an array, with the spatial field
+  /// evaluated once for the whole array (SpatialField::evaluate) instead of
+  /// once per position; offsets[i] == static_offset(positions[i]) bit for bit.
+  [[nodiscard]] std::vector<Volts> static_offsets(std::span<const Position> positions) const;
+
   /// All four components combined for a device at `p`.
-  [[nodiscard]] Volts total_offset(Position p, Xoshiro256& local_rng) const noexcept {
+  [[nodiscard]] Volts total_offset(Position p, Xoshiro256& local_rng) const {
     return static_offset(p) + local_sample(local_rng);
   }
 
  private:
+  /// global + spatial + systematic, left to right: the one place the static
+  /// components are summed, shared by static_offset() and static_offsets().
+  [[nodiscard]] Volts combine(Position p, Volts spatial) const noexcept {
+    return global_ + spatial + systematic_offset(p);
+  }
+
   const TechnologyParams* tech_;
   Volts global_;
   SpatialField field_;

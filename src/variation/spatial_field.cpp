@@ -1,6 +1,9 @@
 #include "variation/spatial_field.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -10,6 +13,10 @@ namespace aropuf {
 namespace {
 // Anchors within this many correlation lengths contribute to a point.
 constexpr std::int64_t kKernelRadiusCells = 3;
+constexpr std::int64_t kWindowSide = 2 * kKernelRadiusCells + 1;
+
+/// Anchor-grid cell containing grid coordinate `g` (position / lambda).
+std::int64_t cell_of(double g) { return static_cast<std::int64_t>(std::floor(g)); }
 }  // namespace
 
 SpatialField::SpatialField(double sigma, double correlation_length, std::uint64_t seed)
@@ -29,28 +36,81 @@ double SpatialField::anchor(std::int64_t ix, std::int64_t iy) const noexcept {
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
 }
 
-double SpatialField::operator()(Position p) const noexcept {
-  if (sigma_ == 0.0) return 0.0;
-  const double gx = p.x / lambda_;
-  const double gy = p.y / lambda_;
-  const auto cx = static_cast<std::int64_t>(std::floor(gx));
-  const auto cy = static_cast<std::int64_t>(std::floor(gy));
+void SpatialField::evaluate(std::span<const Position> points, std::span<double> out) const {
+  ARO_REQUIRE(points.size() == out.size(), "field output needs one slot per point");
+  if (points.empty()) return;
+  if (sigma_ == 0.0) {
+    std::fill(out.begin(), out.end(), 0.0);
+    return;
+  }
 
-  double weighted = 0.0;
-  double weight_sq = 0.0;
-  for (std::int64_t ix = cx - kKernelRadiusCells; ix <= cx + kKernelRadiusCells; ++ix) {
-    for (std::int64_t iy = cy - kKernelRadiusCells; iy <= cy + kKernelRadiusCells; ++iy) {
-      const double dx = gx - static_cast<double>(ix);
-      const double dy = gy - static_cast<double>(iy);
-      const double d2 = dx * dx + dy * dy;
-      const double w = std::exp(-0.5 * d2);
-      weighted += w * anchor(ix, iy);
-      weight_sq += w * w;
+  // The windows' cells: the points' cells widened by the kernel radius.
+  std::int64_t x_lo = std::numeric_limits<std::int64_t>::max();
+  std::int64_t x_hi = std::numeric_limits<std::int64_t>::min();
+  std::int64_t y_lo = x_lo;
+  std::int64_t y_hi = x_hi;
+  for (const Position& p : points) {
+    const std::int64_t cx = cell_of(p.x / lambda_);
+    const std::int64_t cy = cell_of(p.y / lambda_);
+    x_lo = std::min(x_lo, cx);
+    x_hi = std::max(x_hi, cx);
+    y_lo = std::min(y_lo, cy);
+    y_hi = std::max(y_hi, cy);
+  }
+  const double box_cells =
+      (static_cast<double>(x_hi) - static_cast<double>(x_lo) + kWindowSide) *
+      (static_cast<double>(y_hi) - static_cast<double>(y_lo) + kWindowSide);
+  if (box_cells > static_cast<double>(kWindowSide * kWindowSide) *
+                      static_cast<double>(points.size())) {
+    // Points too scattered for one grid to pay: one window per point.
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      evaluate(points.subspan(i, 1), out.subspan(i, 1));
+    }
+    return;
+  }
+
+  // Anchor (ix, iy) sits at grid[(ix - x0) * height + (iy - y0)]: a window's
+  // column is contiguous, in the order the sum below reads it.
+  const std::int64_t x0 = x_lo - kKernelRadiusCells;
+  const std::int64_t y0 = y_lo - kKernelRadiusCells;
+  const std::int64_t width = x_hi - x_lo + kWindowSide;
+  const std::int64_t height = y_hi - y_lo + kWindowSide;
+  std::vector<double> grid(static_cast<std::size_t>(width * height));
+  for (std::int64_t ix = 0; ix < width; ++ix) {
+    for (std::int64_t iy = 0; iy < height; ++iy) {
+      grid[static_cast<std::size_t>(ix * height + iy)] = anchor(x0 + ix, y0 + iy);
     }
   }
-  // Normalizing by sqrt(sum w^2) makes the marginal exactly N(0, sigma^2)
-  // regardless of where p falls relative to the anchor grid.
-  return sigma_ * weighted / std::sqrt(weight_sq);
+
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const double gx = points[i].x / lambda_;
+    const double gy = points[i].y / lambda_;
+    const std::int64_t cx = cell_of(gx);
+    const std::int64_t cy = cell_of(gy);
+    double weighted = 0.0;
+    double weight_sq = 0.0;
+    for (std::int64_t ix = cx - kKernelRadiusCells; ix <= cx + kKernelRadiusCells; ++ix) {
+      const double* column =
+          grid.data() + (ix - x0) * height + (cy - kKernelRadiusCells - y0);
+      for (std::int64_t iy = cy - kKernelRadiusCells; iy <= cy + kKernelRadiusCells; ++iy) {
+        const double dx = gx - static_cast<double>(ix);
+        const double dy = gy - static_cast<double>(iy);
+        const double d2 = dx * dx + dy * dy;
+        const double w = std::exp(-0.5 * d2);
+        weighted += w * *column++;
+        weight_sq += w * w;
+      }
+    }
+    // Normalizing by sqrt(sum w^2) makes the marginal exactly N(0, sigma^2)
+    // regardless of where the point falls relative to the anchor grid.
+    out[i] = sigma_ * weighted / std::sqrt(weight_sq);
+  }
+}
+
+double SpatialField::operator()(Position p) const {
+  double value = 0.0;
+  evaluate({&p, 1}, {&value, 1});
+  return value;
 }
 
 }  // namespace aropuf

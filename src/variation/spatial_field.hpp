@@ -7,12 +7,16 @@
 // correlation length); weights use a Gaussian kernel and are normalized so
 // the marginal at every point is N(0, sigma^2).
 //
-// Anchors are derived lazily by hashing (seed, ix, iy), so the field is a
-// pure function of (seed, position): no storage, fully deterministic, and
-// two dies with different seeds get independent fields.
+// Anchors are derived by hashing (seed, ix, iy), so the field is a pure
+// function of (seed, position): fully deterministic, and two dies with
+// different seeds get independent fields.  Each anchor costs a hash plus
+// log/sqrt/cos, and an RO array reuses the same few anchors in every
+// position's 7x7 window, so evaluate() draws the anchors a set of positions
+// touches once, into a grid, and sums every window from it.
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "common/units.hpp"
 
@@ -32,8 +36,14 @@ class SpatialField {
   /// `seed` — identity of this die's field.
   SpatialField(double sigma, double correlation_length, std::uint64_t seed);
 
-  /// Field value at `p`; marginally N(0, sigma^2).
-  [[nodiscard]] double operator()(Position p) const noexcept;
+  /// Field values at every point of `points` into `out` (same length); each
+  /// marginally N(0, sigma^2).  The anchors of all the points' kernel windows
+  /// are drawn once; out[i] depends only on points[i], never on the other
+  /// points, so any batch gives the bits a one-point call gives.
+  void evaluate(std::span<const Position> points, std::span<double> out) const;
+
+  /// Field value at `p`: evaluate() of the one point.
+  [[nodiscard]] double operator()(Position p) const;
 
   [[nodiscard]] double sigma() const noexcept { return sigma_; }
   [[nodiscard]] double correlation_length() const noexcept { return lambda_; }

@@ -62,9 +62,8 @@ class DelayKernelTest : public ::testing::Test {
     ros.reserve(static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i) {
       Xoshiro256 rng(100 + static_cast<std::uint64_t>(i));
-      ros.emplace_back(tech_, stages, Position{static_cast<double>(i % 4),
-                                               static_cast<double>(i / 4)},
-                       die, rng);
+      const Position pos{static_cast<double>(i % 4), static_cast<double>(i / 4)};
+      ros.emplace_back(tech_, stages, pos, die.static_offset(pos), die, rng);
     }
     return ros;
   }
@@ -137,7 +136,7 @@ TEST_F(DelayKernelTest, SoARejectsMixedStageCounts) {
   {
     const DieVariation die(tech_, 11);
     Xoshiro256 rng(999);
-    ros.emplace_back(tech_, 7, Position{3.0, 3.0}, die, rng);
+    ros.emplace_back(tech_, 7, Position{3.0, 3.0}, die.static_offset({3.0, 3.0}), die, rng);
   }
   EXPECT_THROW(RoArraySoA::from_oscillators(ros), std::invalid_argument);
 }

@@ -16,7 +16,7 @@ class MeasurementTest : public ::testing::Test {
   RingOscillator make_ro(std::uint64_t dev_seed = 2) const {
     const DieVariation die(tech_, 1);
     Xoshiro256 rng(dev_seed);
-    return RingOscillator(tech_, 13, {0.0, 0.0}, die, rng);
+    return RingOscillator(tech_, 13, {0.0, 0.0}, die.static_offset({0.0, 0.0}), die, rng);
   }
 
   TechnologyParams tech_ = TechnologyParams::cmos90();

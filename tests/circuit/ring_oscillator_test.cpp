@@ -16,7 +16,7 @@ class RingOscillatorTest : public ::testing::Test {
                          int stages = 13, Position pos = {0.0, 0.0}) const {
     const DieVariation die(tech_, die_seed);
     Xoshiro256 rng(dev_seed);
-    return RingOscillator(tech_, stages, pos, die, rng);
+    return RingOscillator(tech_, stages, pos, die.static_offset(pos), die, rng);
   }
 
   TechnologyParams tech_ = TechnologyParams::cmos90();
@@ -39,8 +39,8 @@ TEST_F(RingOscillatorTest, ConstructionPopulatesStages) {
 TEST_F(RingOscillatorTest, RejectsEvenOrTinyStageCounts) {
   const DieVariation die(tech_, 1);
   Xoshiro256 rng(2);
-  EXPECT_THROW(RingOscillator(tech_, 12, {0, 0}, die, rng), std::invalid_argument);
-  EXPECT_THROW(RingOscillator(tech_, 1, {0, 0}, die, rng), std::invalid_argument);
+  EXPECT_THROW(RingOscillator(tech_, 12, {0, 0}, 0.0, die, rng), std::invalid_argument);
+  EXPECT_THROW(RingOscillator(tech_, 1, {0, 0}, 0.0, die, rng), std::invalid_argument);
 }
 
 TEST_F(RingOscillatorTest, FrequencyNearNominal) {
@@ -64,7 +64,7 @@ TEST_F(RingOscillatorTest, MismatchSpreadIsPercentLevel) {
   RunningStats stats;
   for (std::uint64_t s = 0; s < 400; ++s) {
     Xoshiro256 rng(s);
-    const RingOscillator ro(tech_, 13, {0.0, 0.0}, die, rng);
+    const RingOscillator ro(tech_, 13, {0.0, 0.0}, die.static_offset({0.0, 0.0}), die, rng);
     stats.add(ro.frequency(nominal_));
   }
   const double rel_sigma = stats.stddev() / stats.mean();
@@ -147,7 +147,7 @@ TEST_P(RoStageSweepTest, FrequencyWithinNominalBand) {
   const TechnologyParams tech = TechnologyParams::cmos90();
   const DieVariation die(tech, 3);
   Xoshiro256 rng(4);
-  const RingOscillator ro(tech, GetParam(), {0.0, 0.0}, die, rng);
+  const RingOscillator ro(tech, GetParam(), {0.0, 0.0}, die.static_offset({0.0, 0.0}), die, rng);
   const OperatingPoint op{tech.vdd_nominal, tech.temp_nominal};
   const double f_nom = tech.nominal_ro_frequency(GetParam());
   EXPECT_GT(ro.frequency(op), f_nom * 0.7);

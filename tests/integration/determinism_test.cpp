@@ -3,11 +3,46 @@
 // that make that true.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
+#include "keygen/sha256.hpp"
 #include "puf/ro_puf.hpp"
 #include "sim/scenarios.hpp"
+#include "sim/shard_study.hpp"
 
 namespace aropuf {
 namespace {
+
+/// SHA-256 over a stream of integers, doubles (by bit pattern) and strings,
+/// each serialized little-endian so the digest does not depend on the host's
+/// byte order.
+class Digest {
+ public:
+  void add(std::uint64_t v) {
+    std::uint8_t bytes[8];
+    for (int i = 0; i < 8; ++i) bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    sha_.update(bytes);
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(const std::string& s) {
+    add(static_cast<std::uint64_t>(s.size()));
+    sha_.update({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+  }
+  [[nodiscard]] std::string hex() { return Sha256::to_hex(sha_.finish()); }
+
+ private:
+  Sha256 sha_;
+};
+
+void add_device(Digest& d, const Transistor& t) {
+  d.add(static_cast<std::uint64_t>(t.type == DeviceType::kPmos ? 1 : 0));
+  d.add(t.vth_fresh);
+  d.add(t.vth_tempco);
+  d.add(t.nbti_sensitivity);
+  d.add(t.hci_sensitivity);
+}
 
 TEST(DeterminismTest, ChipConstructionIsPure) {
   const TechnologyParams tech = TechnologyParams::cmos90();
@@ -81,6 +116,87 @@ TEST(DeterminismTest, DesignsShareSiliconUnderSameFabric) {
     EXPECT_DOUBLE_EQ(conv.oscillators()[i].fresh_frequency(op),
                      aro.oscillators()[i].fresh_frequency(op));
   }
+}
+
+// The two digests below pin simulated bits ACROSS commits (the tests above
+// only compare within one build): any rewrite of chip construction or of the
+// shard study must reproduce them exactly.  They were recorded with the
+// per-RO spatial-field evaluation on x86-64 with glibc's libm.  The values
+// pass through exp/log/sqrt/cos/pow, so another libm's last-bit rounding, or
+// a compiler that fuses a*b + c into one FMA rounding, moves them without
+// any change here; they are checked only where they were recorded.  On every
+// platform, DieVariationTest.StaticOffsetsMatchPerPointOffsets and
+// SpatialFieldTest.BatchEvaluationMatchesPerPointOracle still compare the
+// per-die batch path with the per-point path inside one build.
+#if defined(__x86_64__) && defined(__GLIBC__)
+constexpr bool kDigestPlatform = true;
+#else
+constexpr bool kDigestPlatform = false;
+#endif
+constexpr const char* kOtherPlatform =
+    "digest recorded on x86-64 with glibc's libm; this platform may round "
+    "exp/log/cos/pow or contract FMAs differently";
+
+TEST(DeterminismTest, ChipConstructionDigestIsPinned) {
+  if (!kDigestPlatform) GTEST_SKIP() << kOtherPlatform;
+  // Every device parameter of a few chips per technology and design shape.
+  // The width-7 array is 37 rows tall, so its dies touch a taller anchor
+  // grid of the spatial field than the square 16-wide arrays.
+  PufConfig tall = PufConfig::aro();
+  tall.array_width = 7;
+  const PufConfig configs[] = {PufConfig::conventional(), PufConfig::aro(), PufConfig::aro(64, 5),
+                               tall};
+  Digest digest;
+  std::uint64_t devices = 0;
+  for (const TechnologyParams& tech :
+       {TechnologyParams::cmos90(), TechnologyParams::cmos65(), TechnologyParams::cmos45()}) {
+    for (const PufConfig& config : configs) {
+      const RngFabric fabric(4242);
+      for (std::uint64_t c = 0; c < 3; ++c) {
+        const RoPuf chip(tech, config, fabric.child("chip", c));
+        for (const RingOscillator& ro : chip.oscillators()) {
+          for (const RingOscillator::Stage& stage : ro.stages()) {
+            add_device(digest, stage.pmos);
+            add_device(digest, stage.nmos);
+            devices += 2;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(devices, 3U * 3U * (2U * 256U * 13U + 64U * 5U + 256U * 13U) * 2U);
+  EXPECT_EQ(digest.hex(), "28c72611d775937096210136fbaf9c54142b9b18060c1622823cc59c0529298e");
+}
+
+TEST(DeterminismTest, ShardStudyDigestIsPinned) {
+  if (!kDigestPlatform) GTEST_SKIP() << kOtherPlatform;
+  // Every per-chip series value and every pair tally of a 40-chip, 4-shard
+  // E2+E3 study.
+  ShardStudyConfig cfg;
+  cfg.pop.chips = 40;
+  cfg.pop.seed = 2014;
+  Digest digest;
+  for (std::size_t shard = 0; shard < 4; ++shard) {
+    const ShardStudyResult r = run_shard_study(cfg, shard, 4);
+    digest.add(static_cast<std::uint64_t>(r.chip_lo));
+    digest.add(static_cast<std::uint64_t>(r.chip_hi));
+    for (const SampleSeries& s : r.samples) {
+      digest.add(s.name);
+      digest.add(static_cast<std::uint64_t>(s.offset));
+      digest.add(static_cast<std::uint64_t>(s.total));
+      for (const double v : s.values) digest.add(v);
+    }
+    for (const PairTally& t : r.tallies) {
+      digest.add(t.name);
+      for (const std::uint64_t v : {static_cast<std::uint64_t>(t.offset),
+                                    static_cast<std::uint64_t>(t.total), t.denom, t.count, t.sum,
+                                    t.sum_sq, t.min, t.max}) {
+        digest.add(v);
+      }
+      for (const std::uint64_t b : t.bins) digest.add(b);
+    }
+  }
+  EXPECT_EQ(digest.hex(), "12c665f38b72f22d5364bc6b5f5c9883e68865d8c31671637165c98e64bb39b4");
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "sim/parallel.hpp"
 #include "telemetry/aggregate.hpp"
 #include "telemetry/manifest.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace aropuf {
 namespace {
@@ -114,6 +115,25 @@ TEST(ShardStudyTest, ProgressCallbackReportsMonotonicCompletion) {
                         });
   EXPECT_GT(calls, 0u);
   EXPECT_EQ(last_done, final_total);
+}
+
+TEST(ShardStudyTest, BuildsEachDieOnceAndReusesItsOwnGoldenReads) {
+  // Per design, a shard builds its own chips for E2 and only the other
+  // chips for E3: every die once.  Its own chips' golden reads come from E2,
+  // so E3 evaluates only the chips it builds.
+  const ShardStudyConfig cfg = small_config();
+  const auto chips = static_cast<std::uint64_t>(cfg.pop.chips);
+  const auto checkpoints = static_cast<std::uint64_t>(cfg.checkpoints.size());
+  auto& registry = telemetry::MetricsRegistry::global();
+  for (const std::size_t shards : {1u, 3u}) {
+    registry.reset();
+    const ShardStudyResult r = run_shard_study(cfg, 0, shards);
+    const std::uint64_t own = r.chip_hi - r.chip_lo;
+    EXPECT_EQ(registry.counter("study.chips_built").value(), 2 * chips) << shards << " shards";
+    EXPECT_EQ(registry.counter("puf.evaluations").value(),
+              2 * (own * (1 + checkpoints) + (chips - own)))
+        << shards << " shards";
+  }
 }
 
 TEST(ShardStudyTest, ConfigEchoIsIdenticalAcrossShards) {

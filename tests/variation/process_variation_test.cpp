@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/statistics.hpp"
 
@@ -93,6 +95,29 @@ TEST_F(DieVariationTest, TotalOffsetCombinesComponents) {
       die.global_offset() + die.spatial_offset(p) + die.systematic_offset(p);
   EXPECT_NEAR(stats.mean(), expected, tech_.sigma_vth_local * 0.05);
   EXPECT_NEAR(stats.stddev(), tech_.sigma_vth_local, tech_.sigma_vth_local * 0.03);
+}
+
+TEST_F(DieVariationTest, StaticOffsetsMatchPerPointOffsets) {
+  // The per-die batch (one anchor grid for the whole array) gives
+  // static_offset()'s bits at every RO position of a square 16-wide array and
+  // of a tall 7-wide one.
+  for (const TechnologyParams& tech :
+       {TechnologyParams::cmos90(), TechnologyParams::cmos65(), TechnologyParams::cmos45()}) {
+    for (const int width : {16, 7}) {
+      const DieVariation die(tech, 2014 + static_cast<std::uint64_t>(width));
+      std::vector<Position> positions;
+      for (int i = 0; i < 256; ++i) {
+        positions.push_back({static_cast<double>(i % width), static_cast<double>(i / width)});
+      }
+      const std::vector<Volts> batch = die.static_offsets(positions);
+      ASSERT_EQ(batch.size(), positions.size());
+      for (std::size_t i = 0; i < positions.size(); ++i) {
+        const Volts one = die.static_offset(positions[i]);
+        EXPECT_EQ(std::memcmp(&batch[i], &one, sizeof one), 0)
+            << tech.name << ", width " << width << ", RO " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

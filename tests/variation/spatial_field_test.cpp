@@ -3,12 +3,63 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "common/statistics.hpp"
 
 namespace aropuf {
 namespace {
+
+/// The field as it was evaluated before the batch path: every point hashes
+/// its own 7x7 window of anchors.  Kept verbatim as the oracle the batch
+/// evaluation must reproduce bit for bit.
+double per_point_field(double sigma, double lambda, std::uint64_t seed, Position p) {
+  constexpr std::int64_t kKernelRadiusCells = 3;
+  const auto anchor = [&](std::int64_t ix, std::int64_t iy) {
+    const auto ux = static_cast<std::uint64_t>(ix + (1LL << 32));
+    const auto uy = static_cast<std::uint64_t>(iy + (1LL << 32));
+    SplitMix64 h(seed ^ (ux * 0x9e3779b97f4a7c15ULL) ^ (uy * 0xc2b2ae3d27d4eb4fULL));
+    const double u1 = (static_cast<double>(h.next() >> 11) + 0.5) * 0x1.0p-53;
+    const double u2 = static_cast<double>(h.next() >> 11) * 0x1.0p-53;
+    return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+  };
+  if (sigma == 0.0) return 0.0;
+  const double gx = p.x / lambda;
+  const double gy = p.y / lambda;
+  const auto cx = static_cast<std::int64_t>(std::floor(gx));
+  const auto cy = static_cast<std::int64_t>(std::floor(gy));
+
+  double weighted = 0.0;
+  double weight_sq = 0.0;
+  for (std::int64_t ix = cx - kKernelRadiusCells; ix <= cx + kKernelRadiusCells; ++ix) {
+    for (std::int64_t iy = cy - kKernelRadiusCells; iy <= cy + kKernelRadiusCells; ++iy) {
+      const double dx = gx - static_cast<double>(ix);
+      const double dy = gy - static_cast<double>(iy);
+      const double d2 = dx * dx + dy * dy;
+      const double w = std::exp(-0.5 * d2);
+      weighted += w * anchor(ix, iy);
+      weight_sq += w * w;
+    }
+  }
+  return sigma * weighted / std::sqrt(weight_sq);
+}
+
+/// Batch evaluation of `points` equals the oracle at every point, bitwise.
+void expect_batch_matches_oracle(double sigma, double lambda, std::uint64_t seed,
+                                 const std::vector<Position>& points) {
+  const SpatialField field(sigma, lambda, seed);
+  std::vector<double> batch(points.size(), -1.0);
+  field.evaluate(points, batch);
+  std::vector<double> oracle;
+  oracle.reserve(points.size());
+  for (const Position& p : points) oracle.push_back(per_point_field(sigma, lambda, seed, p));
+  EXPECT_EQ(std::memcmp(batch.data(), oracle.data(), batch.size() * sizeof(double)), 0)
+      << "sigma " << sigma << ", lambda " << lambda << ", seed " << seed << ", "
+      << points.size() << " points";
+}
 
 TEST(SpatialFieldTest, DeterministicForSameSeed) {
   const SpatialField a(8e-3, 12.0, 42);
@@ -31,6 +82,12 @@ TEST(SpatialFieldTest, DifferentSeedsDiffer) {
 TEST(SpatialFieldTest, ZeroSigmaIsIdenticallyZero) {
   const SpatialField f(0.0, 12.0, 7);
   EXPECT_DOUBLE_EQ(f({3.0, 4.0}), 0.0);
+  // The batch path gives exact (+0.0) zeros too.
+  const std::vector<Position> points = {{0.0, 0.0}, {-3.5, 2.25}, {1e4, -1e4}};
+  std::vector<double> values(points.size(), 1.0);
+  f.evaluate(points, values);
+  const std::vector<double> zeros(points.size(), 0.0);
+  EXPECT_EQ(std::memcmp(values.data(), zeros.data(), values.size() * sizeof(double)), 0);
 }
 
 TEST(SpatialFieldTest, MarginalIsStandardizedToSigma) {
@@ -107,6 +164,52 @@ TEST(SpatialFieldTest, SmoothAtSubPitchScale) {
   const double v0 = f({5.0, 5.0});
   const double v1 = f({5.01, 5.0});
   EXPECT_NEAR(v0, v1, 8e-3 * 0.01);
+}
+
+TEST(SpatialFieldTest, BatchEvaluationMatchesPerPointOracle) {
+  Xoshiro256 rng(2024);
+  for (const double lambda : {0.5, 3.0, 12.0, 40.0}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const std::uint64_t seed = rng();
+      const double sigma = rng.uniform(1e-3, 2e-2);
+      // An RO array as RoPuf lays it out: 16 columns, unit pitch.
+      std::vector<Position> array;
+      for (int i = 0; i < 256; ++i) {
+        array.push_back({static_cast<double>(i % 16), static_cast<double>(i / 16)});
+      }
+      expect_batch_matches_oracle(sigma, lambda, seed, array);
+      // Negative and fractional coordinates scattered over a few cells.
+      std::vector<Position> scattered;
+      for (int i = 0; i < 64; ++i) {
+        scattered.push_back({rng.uniform(-3.0 * lambda, 3.0 * lambda),
+                             rng.uniform(-3.0 * lambda, 3.0 * lambda)});
+      }
+      expect_batch_matches_oracle(sigma, lambda, seed, scattered);
+      // Points many cells apart, with a close pair among them.
+      const std::vector<Position> far = {{0.0, 0.0},
+                                         {0.25, -0.75},
+                                         {-1e4 * lambda, 3.5},
+                                         {7.5 * lambda, 2e4 * lambda},
+                                         {-5e3 * lambda - 0.5, -6e3 * lambda + 0.5}};
+      expect_batch_matches_oracle(sigma, lambda, seed, far);
+    }
+  }
+}
+
+TEST(SpatialFieldTest, SinglePointAndEmptySpan) {
+  const double sigma = 8e-3;
+  for (const Position p : {Position{0.0, 0.0}, Position{-2.5, 7.25}, Position{1e5, -3e4}}) {
+    expect_batch_matches_oracle(sigma, 12.0, 42, {p});
+    const double value = SpatialField(sigma, 12.0, 42)(p);
+    const double oracle = per_point_field(sigma, 12.0, 42, p);
+    EXPECT_EQ(std::memcmp(&value, &oracle, sizeof value), 0);
+  }
+  const SpatialField field(sigma, 12.0, 42);
+  std::vector<double> none;
+  EXPECT_NO_THROW(field.evaluate({}, none));
+  std::vector<double> two(2);
+  const Position one[] = {{1.0, 1.0}};
+  EXPECT_THROW(field.evaluate(one, two), std::invalid_argument);
 }
 
 TEST(SpatialFieldTest, RejectsBadParameters) {
