@@ -22,9 +22,10 @@ mkdir -p "$OUT"
 PORT_FILE="$OUT/coordinator.port"
 
 # Profile the whole fleet: every process resolves AROPUF_PROF itself (perf
-# counters where the kernel allows, the rusage fallback elsewhere), so the
-# workers' METRICS frames carry prof.*/proc.* instruments either way and the
-# Prometheus exposition must export them.
+# counters where the kernel allows, the rusage fallback elsewhere).  Either
+# way the workers' METRICS frames carry their StageTimers' prof.* series and
+# the resource sampler's proc.* gauges, and the Prometheus exposition must
+# export them.
 AROPUF_PROF=on
 export AROPUF_PROF
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -94,24 +95,12 @@ AuthStoreParams fleet_store_params(const FleetConfig& fleet) {
   return params;
 }
 
-std::pair<std::uint64_t, std::uint64_t> fleet_shard_range(std::uint64_t devices,
-                                                          std::size_t shard_index,
-                                                          std::size_t shard_count) {
-  ARO_REQUIRE(shard_count > 0, "shard count must be positive");
-  ARO_REQUIRE(shard_index < shard_count, "shard index out of range");
-  const std::uint64_t base = devices / shard_count;
-  const std::uint64_t extra = devices % shard_count;
-  const std::uint64_t first =
-      shard_index * base + std::min<std::uint64_t>(shard_index, extra);
-  const std::uint64_t count = base + (shard_index < extra ? 1 : 0);
-  return {first, first + count};
-}
-
 std::uint64_t build_fleet_shard(const FleetConfig& fleet, std::size_t shard_index,
                                 std::size_t shard_count, const std::string& out_path) {
   ARO_REQUIRE(fleet.devices > 0, "fleet must have devices");
-  const auto [first, last] = fleet_shard_range(fleet.devices, shard_index, shard_count);
-  const auto count = static_cast<std::size_t>(last - first);
+  const auto [first, last] =
+      shard_range(static_cast<std::size_t>(fleet.devices), shard_index, shard_count);
+  const std::size_t count = last - first;
   const Authenticator::VerifierKey key = fleet_verifier_key(fleet.seed);
 
   std::vector<std::pair<DeviceId, EnrollmentRecord>> records(count);

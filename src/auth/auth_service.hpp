@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 
 #include "auth/authenticator.hpp"
 #include "auth/store_binary.hpp"
@@ -72,14 +71,10 @@ struct FleetConfig {
 /// ARPS header parameters describing this fleet's store.
 [[nodiscard]] AuthStoreParams fleet_store_params(const FleetConfig& fleet);
 
-/// Contiguous device-index range [first, last) owned by shard `shard_index`
-/// of `shard_count` (even split, remainder to the leading shards).
-[[nodiscard]] std::pair<std::uint64_t, std::uint64_t> fleet_shard_range(
-    std::uint64_t devices, std::size_t shard_index, std::size_t shard_count);
-
-/// Builds shard `shard_index` of the fleet's enrollment store and writes it
-/// to `out_path` (id-sorted ARPS file).  Device construction parallelizes
-/// over the global executor.  Returns the number of devices written.
+/// Builds shard `shard_index` of the fleet's enrollment store — the devices
+/// shard_range() assigns it — and writes it to `out_path` (id-sorted ARPS
+/// file).  Device construction parallelizes over the global executor.
+/// Returns the number of devices written.
 std::uint64_t build_fleet_shard(const FleetConfig& fleet, std::size_t shard_index,
                                 std::size_t shard_count, const std::string& out_path);
 

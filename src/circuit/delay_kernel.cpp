@@ -2,10 +2,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 
 #include "common/check.hpp"
-#include "common/cli.hpp"
 #include "device/technology.hpp"
 #include "telemetry/log.hpp"
 #include "telemetry/manifest.hpp"
@@ -30,18 +28,8 @@ void announce_backend(DelayBackend backend) {
                 {"backend", JsonValue(to_string(backend))});
 }
 
-/// AROPUF_KERNEL=reference|batched|simd, else the best available backend.
-DelayBackend backend_from_environment() noexcept {
-  if (const char* env = cli::env_value("AROPUF_KERNEL")) {
-    if (std::strcmp(env, "reference") == 0) return DelayBackend::kReference;
-    if (std::strcmp(env, "batched") == 0) return DelayBackend::kBatched;
-    if (std::strcmp(env, "simd") == 0) return clamp_to_available(DelayBackend::kSimd);
-  }
-  return clamp_to_available(DelayBackend::kSimd);
-}
-
 std::atomic<DelayBackend>& backend_state() noexcept {
-  static std::atomic<DelayBackend> state{backend_from_environment()};
+  static std::atomic<DelayBackend> state{clamp_to_available(DelayBackend::kSimd)};
   return state;
 }
 
@@ -78,11 +66,7 @@ DelayBackend set_delay_backend(DelayBackend backend) noexcept {
   return effective;
 }
 
-void reset_delay_backend() noexcept {
-  const DelayBackend effective = backend_from_environment();
-  backend_state().store(effective, std::memory_order_relaxed);
-  announce_backend(effective);
-}
+void reset_delay_backend() noexcept { (void)set_delay_backend(DelayBackend::kSimd); }
 
 bool simd_compiled() noexcept {
 #if defined(AROPUF_SIMD_ENABLED)

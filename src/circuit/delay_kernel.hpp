@@ -8,8 +8,9 @@
 // arrays (fresh Vth, temperature coefficient, aging sensitivity), with the
 // operating-point-dependent prefactor hoisted out of the loop — halving the
 // libm pow() count, the dominant cost — and a memory layout the compiler can
-// auto-vectorize.  An explicit AVX2 path (cmake option AROPUF_SIMD, runtime
-// CPU dispatch, scalar fallback) vectorizes the Vth/overdrive assembly.
+// auto-vectorize.  An explicit AVX2 path (built whenever the compiler accepts
+// -mavx2, runtime CPU dispatch, scalar fallback) vectorizes the Vth/overdrive
+// assembly.
 //
 // Bit-identity contract (enforced by tests/circuit/delay_kernel_test.cpp and
 // tests/sim/kernel_equivalence_test.cpp): every backend — reference, batched,
@@ -26,9 +27,8 @@
 //    never enables FMA, so no path contracts a mul+add into a differently
 //    rounded fused op.
 //
-// Backend selection: AROPUF_KERNEL=reference|batched|simd environment
-// variable, or set_delay_backend() (benches/tests).  Default: simd when
-// compiled in and the CPU supports AVX2, else batched.
+// Backend selection: simd when compiled in and the CPU supports AVX2, else
+// batched.  Tests and benches pick another one with set_delay_backend().
 #pragma once
 
 #include <span>
@@ -53,9 +53,8 @@ enum class DelayBackend {
 /// Human-readable backend name ("reference" / "batched" / "simd").
 [[nodiscard]] const char* to_string(DelayBackend backend) noexcept;
 
-/// The currently selected backend.  Resolution order: set_delay_backend()
-/// override, else the AROPUF_KERNEL environment variable, else the best
-/// available (simd when compiled + CPU-supported, otherwise batched).
+/// The currently selected backend: the set_delay_backend() override, else
+/// the best available (simd when compiled + CPU-supported, otherwise batched).
 [[nodiscard]] DelayBackend delay_backend() noexcept;
 
 /// Selects the backend for subsequent frequency evaluations and returns the
@@ -64,12 +63,10 @@ enum class DelayBackend {
 /// called concurrently with running evaluations.
 DelayBackend set_delay_backend(DelayBackend backend) noexcept;
 
-/// Drops any set_delay_backend() override and re-resolves from the
-/// environment (AROPUF_KERNEL) / hardware default.
+/// Drops any set_delay_backend() override: back to the best available.
 void reset_delay_backend() noexcept;
 
-/// True when the AVX2 kernel was compiled in (cmake -DAROPUF_SIMD=ON and a
-/// compiler that accepts -mavx2).
+/// True when the AVX2 kernel was compiled in (the compiler accepts -mavx2).
 [[nodiscard]] bool simd_compiled() noexcept;
 
 /// True when the AVX2 kernel is compiled in AND this CPU executes AVX2.

@@ -1,7 +1,7 @@
 // Explicit AVX2 lane of the batched delay kernel (see delay_kernel.hpp).
 //
-// Compiled with -mavx2 ONLY when the AROPUF_SIMD cmake option is on and the
-// compiler accepts the flag; callers dispatch at runtime via
+// Compiled with -mavx2 whenever the compiler accepts the flag (and only this
+// TU gets it); callers dispatch at runtime via
 // __builtin_cpu_supports, so a binary built with this TU still runs (on the
 // batched path) on CPUs without AVX2.
 //

@@ -31,6 +31,18 @@ std::uint64_t load_word_le(const std::uint8_t* p, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) w |= static_cast<std::uint64_t>(p[i]) << (8 * i);
   return w;
 }
+
+// Inverse of load_word_le: writes the low `n` bytes of `w` LSB-first.
+void store_word_le(std::uint64_t w, std::uint8_t* p, std::size_t n) {
+  if (n == 8) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    w = __builtin_bswap64(w);
+#endif
+    std::memcpy(p, &w, sizeof w);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<std::uint8_t>(w >> (8 * i));
+}
 }  // namespace
 
 BitVector::BitVector(std::size_t size) : words_(words_for(size), 0), size_(size) {}
@@ -154,9 +166,12 @@ std::string BitVector::to_string() const {
 }
 
 std::vector<std::uint8_t> BitVector::to_bytes() const {
-  std::vector<std::uint8_t> bytes((size_ + 7) / 8, 0);
-  for (std::size_t i = 0; i < size_; ++i) {
-    if (get(i)) bytes[i / 8] |= static_cast<std::uint8_t>(1U << (i % 8));
+  // Word by word, the layout from_bytes reads; padding bits are zero, so the
+  // final byte needs no masking.
+  std::vector<std::uint8_t> bytes((size_ + 7) / 8);
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    const std::size_t off = w * 8;
+    store_word_le(words_[w], bytes.data() + off, std::min<std::size_t>(8, bytes.size() - off));
   }
   return bytes;
 }

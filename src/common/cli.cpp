@@ -249,7 +249,6 @@ void Parser::print_usage(std::FILE* to) const {
 const std::vector<EnvVar>& env_vars() {
   static const std::vector<EnvVar> vars = {
       {"AROPUF_THREADS", "worker-thread count for ParallelExecutor (1 disables the pool)"},
-      {"AROPUF_KERNEL", "delay-kernel backend: reference | batched | simd"},
       {"AROPUF_MANIFEST", "write the JSON run manifest to this path"},
       {"AROPUF_LOG", "log level: trace|debug|info|warn|error|off (default warn)"},
       {"AROPUF_LOG_FORMAT", "log format: text | json"},

@@ -1,5 +1,6 @@
 #include "sim/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -7,6 +8,7 @@
 #include <mutex>
 #include <thread>
 
+#include "common/check.hpp"
 #include "common/cli.hpp"
 #include "telemetry/log.hpp"
 #include "telemetry/manifest.hpp"
@@ -261,6 +263,16 @@ void ParallelExecutor::set_global_thread_count(int threads) {
   std::lock_guard<std::mutex> lock(g_global_mutex);
   g_global_executor = std::make_unique<ParallelExecutor>(threads);
   announce_global_pool(g_global_executor->thread_count());
+}
+
+std::pair<std::size_t, std::size_t> shard_range(std::size_t count, std::size_t index,
+                                                std::size_t shards) {
+  ARO_REQUIRE(shards >= 1 && index < shards, "shard index out of range");
+  const std::size_t base = count / shards;
+  const std::size_t rem = count % shards;
+  const std::size_t lo = index * base + std::min(index, rem);
+  const std::size_t hi = lo + base + (index < rem ? 1 : 0);
+  return {lo, hi};
 }
 
 void parallel_for_chips(std::size_t n, const std::function<void(std::size_t)>& fn) {

@@ -28,6 +28,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace aropuf {
@@ -67,6 +68,14 @@ class ParallelExecutor {
 /// Thread count implied by the environment: AROPUF_THREADS when set to a
 /// positive integer, otherwise std::thread::hardware_concurrency() (>= 1).
 [[nodiscard]] int default_thread_count();
+
+/// Balanced contiguous split of `count` items over `shards`: returns shard
+/// `index`'s [lo, hi).  Ranges of all shards exactly tile [0, count).  The
+/// one split behind the study shards, their pair chunks and the fleet
+/// enrollment-store shards.
+[[nodiscard]] std::pair<std::size_t, std::size_t> shard_range(std::size_t count,
+                                                              std::size_t index,
+                                                              std::size_t shards);
 
 /// Convenience entry point used by the Monte Carlo loops:
 /// ParallelExecutor::global().parallel_for(n, fn).

@@ -75,16 +75,6 @@ std::vector<BitVector> all_golden_responses(const PopulationConfig& pop, const P
 
 }  // namespace
 
-std::pair<std::size_t, std::size_t> shard_range(std::size_t count, std::size_t index,
-                                                std::size_t shards) {
-  ARO_REQUIRE(shards >= 1 && index < shards, "shard index out of range");
-  const std::size_t base = count / shards;
-  const std::size_t rem = count % shards;
-  const std::size_t lo = index * base + std::min(index, rem);
-  const std::size_t hi = lo + base + (index < rem ? 1 : 0);
-  return {lo, hi};
-}
-
 ShardStudyResult run_shard_study(const ShardStudyConfig& cfg, std::size_t index,
                                  std::size_t count, const StudyProgressFn& progress) {
   ARO_REQUIRE(cfg.pop.chips >= 2, "study needs at least two chips");

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "sim/parallel.hpp"  // shard_range
 #include "sim/scenarios.hpp"
 #include "telemetry/binfmt.hpp"
 
@@ -86,12 +87,6 @@ struct ShardStudyResult {
 
 /// Progress hook: (stage label, work units done, work units total).
 using StudyProgressFn = std::function<void(const std::string&, std::int64_t, std::int64_t)>;
-
-/// Balanced contiguous split of `count` items over `shards`: returns shard
-/// `index`'s [lo, hi).  Ranges of all shards exactly tile [0, count).
-[[nodiscard]] std::pair<std::size_t, std::size_t> shard_range(std::size_t count,
-                                                              std::size_t index,
-                                                              std::size_t shards);
 
 /// Runs shard `index` of `count` shards: both designs' E2 aging series over
 /// the shard's chip range plus the E3 uniqueness tally over the shard's pair

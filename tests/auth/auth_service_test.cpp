@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,18 +36,29 @@ FleetConfig small_fleet() {
 }
 
 TEST(FleetServiceTest, ShardRangesPartitionTheFleet) {
-  std::uint64_t covered = 0;
+  // 100 devices over 7 shards: each shard store holds the next contiguous run
+  // of device indices, sizes differ by at most one, and together they cover
+  // the fleet exactly once.
+  FleetConfig fleet = small_fleet();
+  fleet.devices = 100;
+  const std::string dir = ::testing::TempDir();
   std::uint64_t previous_end = 0;
   for (std::size_t s = 0; s < 7; ++s) {
-    const auto [first, last] = fleet_shard_range(100, s, 7);
-    EXPECT_EQ(first, previous_end);
-    EXPECT_GE(last, first);
-    covered += last - first;
-    previous_end = last;
+    const std::string path = dir + "/svc-range-" + std::to_string(s) + ".arps";
+    const std::uint64_t count = build_fleet_shard(fleet, s, 7, path);
+    EXPECT_TRUE(count == 14 || count == 15) << "shard " << s << " has " << count;
+    const auto store = BinaryEnrollmentStore::open(path);
+    ASSERT_EQ(store->device_count(), count);
+    for (std::uint64_t i = previous_end; i < previous_end + count; ++i) {
+      EXPECT_TRUE(store->contains(fleet_device_id(fleet, i))) << "shard " << s << " device " << i;
+    }
+    previous_end += count;
+    std::remove(path.c_str());
   }
-  EXPECT_EQ(covered, 100U);
-  EXPECT_THROW((void)fleet_shard_range(10, 3, 3), std::invalid_argument);
-  EXPECT_THROW((void)fleet_shard_range(10, 0, 0), std::invalid_argument);
+  EXPECT_EQ(previous_end, fleet.devices);
+  const std::string unused = dir + "/svc-range-bad.arps";
+  EXPECT_THROW((void)build_fleet_shard(fleet, 3, 3, unused), std::invalid_argument);
+  EXPECT_THROW((void)build_fleet_shard(fleet, 0, 0, unused), std::invalid_argument);
 }
 
 TEST(FleetServiceTest, ResponsesAreDeterministicPerDevice) {
@@ -81,6 +93,32 @@ TEST(FleetServiceTest, ShardedBuildMergesToTheSingleShardBytes) {
   const std::string merged = dir + "/svc-merged.arps";
   EXPECT_EQ(merge_enrollment_stores(shards, merged), fleet.devices);
   EXPECT_EQ(read_file(merged), read_file(single));
+}
+
+TEST(FleetServiceTest, MergedStoreDigestIsPinned) {
+  // The bytes of a 3-shard merged store, recorded before the word-level
+  // BitVector::to_bytes: any change to ids, packed responses, tags or the
+  // ARPS layout moves the digest.  (Synthetic responses are unpacked from
+  // random bytes, so a packing bug shared by from_bytes and to_bytes cancels
+  // here; BitVectorTest.ToBytesLsbFirst catches that one.)  Everything is
+  // integer-only (SplitMix ids, xoshiro words, HMAC-SHA256 tags), so the
+  // digest holds on every platform.
+  FleetConfig fleet;
+  fleet.devices = 2003;
+  fleet.seed = 2014;
+  const std::string dir = ::testing::TempDir();
+  std::vector<std::string> shards;
+  for (std::size_t s = 0; s < 3; ++s) {
+    shards.push_back(dir + "/svc-pinned-" + std::to_string(s) + ".arps");
+    build_fleet_shard(fleet, s, 3, shards.back());
+  }
+  const std::string merged = dir + "/svc-pinned.arps";
+  ASSERT_EQ(merge_enrollment_stores(shards, merged), fleet.devices);
+  const std::string bytes = read_file(merged);
+  const Sha256::Digest digest = Sha256::hash(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
+  EXPECT_EQ(Sha256::to_hex(digest),
+            "89ab76df30e9e6776faaf2e11da7815070bb691d50eddd400811a547f60c1288");
 }
 
 class WorkloadDeterminismTest : public ::testing::Test {

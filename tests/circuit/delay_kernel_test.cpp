@@ -1,16 +1,13 @@
 // Batched delay kernel contract tests: bitwise equality of every backend
 // against the per-RO reference path (fresh silicon, aged silicon, off-nominal
 // corners, near-threshold supplies where the overdrive floor engages), SoA
-// flattening, span validation, and backend selection (API + AROPUF_KERNEL
-// environment variable + AVX2 fallback).
+// flattening, span validation, and backend selection (API + AVX2 fallback).
 #include "circuit/delay_kernel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "circuit/ring_oscillator.hpp"
@@ -19,38 +16,10 @@
 namespace aropuf {
 namespace {
 
-/// Restores the backend to the environment/hardware default on scope exit so
-/// backend mutations never leak into other tests.
+/// Restores the backend to the hardware default on scope exit so backend
+/// mutations never leak into other tests.
 struct BackendGuard {
   ~BackendGuard() { reset_delay_backend(); }
-};
-
-/// setenv/unsetenv with restoration of the previous value.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, /*overwrite=*/1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
 };
 
 class DelayKernelTest : public ::testing::Test {
@@ -243,25 +212,11 @@ TEST(DelayBackendTest, SimdAvailableImpliesSimdCompiled) {
   if (simd_available()) EXPECT_TRUE(simd_compiled());
 }
 
-TEST(DelayBackendTest, EnvironmentVariableSelectsBackend) {
+TEST(DelayBackendTest, ResetSelectsBestAvailableBackend) {
   BackendGuard guard;
-  {
-    ScopedEnv env("AROPUF_KERNEL", "reference");
-    reset_delay_backend();
-    EXPECT_EQ(delay_backend(), DelayBackend::kReference);
-  }
-  {
-    ScopedEnv env("AROPUF_KERNEL", "batched");
-    reset_delay_backend();
-    EXPECT_EQ(delay_backend(), DelayBackend::kBatched);
-  }
-  {
-    // Unset (and unrecognized values) resolve to the best available backend.
-    ScopedEnv env("AROPUF_KERNEL", nullptr);
-    reset_delay_backend();
-    EXPECT_EQ(delay_backend(),
-              simd_available() ? DelayBackend::kSimd : DelayBackend::kBatched);
-  }
+  set_delay_backend(DelayBackend::kReference);
+  reset_delay_backend();
+  EXPECT_EQ(delay_backend(), simd_available() ? DelayBackend::kSimd : DelayBackend::kBatched);
 }
 
 }  // namespace

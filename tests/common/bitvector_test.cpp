@@ -123,6 +123,23 @@ TEST(BitVectorTest, ToBytesLsbFirst) {
   ASSERT_EQ(bytes.size(), 2U);
   EXPECT_EQ(bytes[0], 0x01);
   EXPECT_EQ(bytes[1], 0x01);
+
+  // Every length around byte and word edges, against a per-bit packing (a
+  // round trip alone cannot catch to_bytes and from_bytes sharing a bug).
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  for (const std::size_t bits :
+       {0UL, 1UL, 7UL, 8UL, 9UL, 63UL, 64UL, 65UL, 127UL, 128UL, 130UL, 200UL}) {
+    BitVector w(bits);
+    std::vector<std::uint8_t> reference((bits + 7) / 8, 0);
+    for (std::size_t i = 0; i < bits; ++i) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      if ((state >> 63) != 0) {
+        w.set(i, true);
+        reference[i / 8] |= static_cast<std::uint8_t>(1U << (i % 8));
+      }
+    }
+    EXPECT_EQ(w.to_bytes(), reference) << bits << " bits";
+  }
 }
 
 TEST(HammingDistanceTest, CountsDifferences) {

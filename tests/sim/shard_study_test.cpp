@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -47,8 +48,8 @@ telemetry::ShardManifest to_manifest(const ShardStudyConfig& cfg, std::size_t in
 }
 
 TEST(ShardRangeTest, TilesExactlyAndBalances) {
-  for (const std::size_t count : {1u, 7u, 40u, 101u}) {
-    for (const std::size_t shards : {1u, 2u, 3u, 8u}) {
+  for (const std::size_t count : {1u, 7u, 40u, 100u, 101u}) {
+    for (const std::size_t shards : {1u, 2u, 3u, 7u, 8u}) {
       std::size_t cursor = 0;
       for (std::size_t k = 0; k < shards; ++k) {
         const auto [lo, hi] = shard_range(count, k, shards);
@@ -61,7 +62,8 @@ TEST(ShardRangeTest, TilesExactlyAndBalances) {
       EXPECT_EQ(cursor, count);
     }
   }
-  EXPECT_THROW((void)shard_range(10, 3, 3), std::exception);  // index out of range
+  EXPECT_THROW((void)shard_range(10, 3, 3), std::invalid_argument);  // index out of range
+  EXPECT_THROW((void)shard_range(10, 0, 0), std::invalid_argument);  // no shards
 }
 
 // The PR's acceptance bar: merging any shard decomposition must reproduce the

@@ -1,10 +1,10 @@
 // aropuf_auth — fleet enrollment-store builder and verification bench.
 //
-// Build mode: enroll an N-device fleet into an ARPS binary store via
-// seed-range shard workers (self-exec child processes on UNIX, in-process
-// elsewhere or with --no-fork) merged deterministically:
+// Build mode: enroll an N-device fleet into an ARPS binary store, one
+// seed-range shard after another in this process, then merge the shard
+// stores deterministically (byte-identical for any --shards):
 //
-//   $ aropuf_auth --build --devices 1000000 --shards 8 --jobs 4 --out runs/fleet-1m
+//   $ aropuf_auth --build --devices 1000000 --shards 4 --out runs/fleet-1m
 //
 // Verify mode: mmap a store and drive the concurrent verification hot path
 // at each requested thread count, reporting auth/sec, p50/p99 latency, and
@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <filesystem>
 #include <memory>
@@ -31,13 +30,8 @@
 #include "auth/store_binary.hpp"
 #include "common/cli.hpp"
 #include "common/json.hpp"
-#include "self_exec.hpp"
 #include "sim/parallel.hpp"
 #include "telemetry/manifest.hpp"
-
-#if defined(AROPUF_HAVE_FORK)
-#include <sys/wait.h>
-#endif
 
 namespace {
 
@@ -47,12 +41,10 @@ struct Options {
   bool build = false;
   std::uint64_t devices = 10000;
   int shards = 1;
-  int jobs = 2;
   std::uint64_t bits = 128;
   std::string model = "synthetic";
   std::uint64_t seed = 2014;
   std::string out_dir = "auth-out";
-  bool no_fork = false;
   bool keep_shards = false;
 
   std::string store_path;
@@ -67,9 +59,6 @@ struct Options {
   double threshold = 0.0;
   std::uint64_t workload_seed = 7;
   bool quiet = false;
-
-  bool worker = false;
-  int shard_index = 0;
 };
 
 bool parse_thread_list(const std::string& value, std::vector<int>* out) {
@@ -106,75 +95,8 @@ FleetConfig fleet_from_options(const Options& opt) {
   return fleet;
 }
 
-#if defined(AROPUF_HAVE_FORK)
-/// Spawns one shard-build worker: self-exec with hidden --worker plumbing.
-long spawn_worker(const std::string& exe, const Options& opt, int index) {
-  return tools::spawn_process(
-      "aropuf_auth",
-      {exe, "--build", "--worker", "--shard-index", std::to_string(index), "--shards",
-       std::to_string(opt.shards), "--devices", std::to_string(opt.devices), "--bits",
-       std::to_string(opt.bits), "--model", opt.model, "--seed", std::to_string(opt.seed),
-       "--out", opt.out_dir});
-}
-
-/// Runs shard builds as child processes, at most opt.jobs concurrently, with
-/// one retry per shard.  Returns true when every shard store landed.
-bool build_shards_forked(const Options& opt, const char* argv0) {
-  const std::string exe = tools::self_executable(argv0);
-  std::deque<int> pending;
-  for (int k = 0; k < opt.shards; ++k) pending.push_back(k);
-  std::vector<int> attempts(static_cast<std::size_t>(opt.shards), 0);
-  std::vector<long> pid_of(static_cast<std::size_t>(opt.shards), -1);
-  int running = 0;
-  int finished = 0;
-  bool failed = false;
-  while (finished < opt.shards && !failed) {
-    while (running < opt.jobs && !pending.empty()) {
-      const int k = pending.front();
-      pending.pop_front();
-      const long pid = spawn_worker(exe, opt, k);
-      if (pid < 0) return false;
-      pid_of[static_cast<std::size_t>(k)] = pid;
-      ++attempts[static_cast<std::size_t>(k)];
-      ++running;
-    }
-    int status = 0;
-    const pid_t reaped = ::waitpid(-1, &status, 0);
-    if (reaped < 0) return false;
-    --running;
-    int shard = -1;
-    for (int k = 0; k < opt.shards; ++k) {
-      if (pid_of[static_cast<std::size_t>(k)] == reaped) shard = k;
-    }
-    if (shard < 0) continue;
-    pid_of[static_cast<std::size_t>(shard)] = -1;
-    const bool ok = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    if (ok) {
-      ++finished;
-      if (!opt.quiet) {
-        std::printf("aropuf_auth: shard %d/%d built\n", shard + 1, opt.shards);
-      }
-    } else if (attempts[static_cast<std::size_t>(shard)] < 2) {
-      std::fprintf(stderr, "aropuf_auth: shard %d failed, retrying\n", shard);
-      pending.push_back(shard);
-    } else {
-      std::fprintf(stderr, "aropuf_auth: shard %d failed twice, giving up\n", shard);
-      failed = true;
-    }
-  }
-  return !failed;
-}
-#endif  // AROPUF_HAVE_FORK
-
-int run_build(const Options& opt, const char* argv0) {
+int run_build(const Options& opt) {
   const FleetConfig fleet = fleet_from_options(opt);
-
-  if (opt.worker) {
-    // Hidden worker mode: build one shard in-process and exit.
-    build_fleet_shard(fleet, static_cast<std::size_t>(opt.shard_index),
-                      static_cast<std::size_t>(opt.shards), shard_store_path(opt, opt.shard_index));
-    return 0;
-  }
 
   std::error_code mkdir_error;
   std::filesystem::create_directories(opt.out_dir, mkdir_error);
@@ -187,21 +109,10 @@ int run_build(const Options& opt, const char* argv0) {
   const auto build_start = std::chrono::steady_clock::now();
   {
     telemetry::StageTimer timer("enroll_shards");
-    bool forked = false;
-#if defined(AROPUF_HAVE_FORK)
-    if (!opt.no_fork && opt.shards > 1) {
-      if (!build_shards_forked(opt, argv0)) return 1;
-      forked = true;
-    }
-#else
-    (void)argv0;
-#endif
-    if (!forked) {
-      for (int k = 0; k < opt.shards; ++k) {
-        build_fleet_shard(fleet, static_cast<std::size_t>(k),
-                          static_cast<std::size_t>(opt.shards), shard_store_path(opt, k));
-        if (!opt.quiet) std::printf("aropuf_auth: shard %d/%d built\n", k + 1, opt.shards);
-      }
+    for (int k = 0; k < opt.shards; ++k) {
+      build_fleet_shard(fleet, static_cast<std::size_t>(k), static_cast<std::size_t>(opt.shards),
+                        shard_store_path(opt, k));
+      if (!opt.quiet) std::printf("aropuf_auth: shard %d/%d built\n", k + 1, opt.shards);
     }
   }
 
@@ -369,12 +280,10 @@ int main(int argc, char** argv) {
   parser.flag("--build", &opt.build, "build an enrollment store instead of verifying")
       .opt_uint64("--devices", &opt.devices, "N", "fleet size for --build")
       .opt_int("--shards", &opt.shards, "K", "store shards to build and merge", 1)
-      .opt_int("--jobs", &opt.jobs, "J", "concurrent shard-build workers", 1)
       .opt_uint64("--bits", &opt.bits, "B", "response bits per device")
       .opt_string("--model", &opt.model, "NAME", "response model: synthetic|sim")
       .opt_uint64("--seed", &opt.seed, "S", "fleet master seed")
       .opt_string("--out", &opt.out_dir, "DIR", "output directory for --build")
-      .flag("--no-fork", &opt.no_fork, "build shards in-process (no child workers)")
       .flag("--keep-shards", &opt.keep_shards, "keep per-shard stores after the merge")
       .opt_string("--store", &opt.store_path, "PATH", "ARPS store to verify against")
       .opt_uint64("--requests", &opt.requests, "M", "verification requests to drive")
@@ -390,8 +299,6 @@ int main(int argc, char** argv) {
                   0.0)
       .opt_uint64("--workload-seed", &opt.workload_seed, "W", "request-stream seed")
       .flag("--quiet", &opt.quiet, "suppress progress output");
-  parser.flag("--worker", &opt.worker, "").hidden();
-  parser.opt_int("--shard-index", &opt.shard_index, "K", "", 0).hidden();
   parser.with_env_help();
 
   switch (parser.parse(argc, argv)) {
@@ -405,7 +312,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    return opt.build ? run_build(opt, argv[0]) : run_verify(opt);
+    return opt.build ? run_build(opt) : run_verify(opt);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "aropuf_auth: %s\n", error.what());
     return 1;

@@ -1,7 +1,6 @@
-// Self-exec for the tools that fan work out to copies of themselves:
-// aropuf_shard starts its local fleet workers this way, aropuf_auth --build
-// its shard builders.  POSIX only; AROPUF_HAVE_FORK is defined where these
-// helpers exist.
+// Self-exec for aropuf_shard, the one tool that fans work out to copies of
+// itself: it starts its local fleet workers this way.  POSIX only;
+// AROPUF_HAVE_FORK is defined where these helpers exist.
 #pragma once
 
 #if !defined(_WIN32)
