@@ -22,6 +22,7 @@
 #include "circuit/delay_kernel.hpp"
 #include "ecc/bch.hpp"
 #include "fold_bench_util.hpp"
+#include "gate_normalizer.hpp"
 #include "keygen/fuzzy_extractor.hpp"
 #include "keygen/sha256.hpp"
 #include "metrics/uniqueness.hpp"
@@ -192,16 +193,36 @@ void BM_KeyReconstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_KeyReconstruct);
 
-void BM_Sha256_1KiB(benchmark::State& state) {
+std::vector<std::uint8_t> sha_input_1kib() {
   std::vector<std::uint8_t> data(1024);
   Xoshiro256 rng(5);
   for (auto& b : data) b = static_cast<std::uint8_t>(rng.bounded(256));
+  return data;
+}
+
+/// The library's SHA-256 on 1 KiB.  Ungated: its speed depends on which
+/// compression this CPU runs, so the row labels itself sha_ni or portable.
+void BM_Sha256_1KiB(benchmark::State& state) {
+  const std::vector<std::uint8_t> data = sha_input_1kib();
   for (auto _ : state) {
     benchmark::DoNotOptimize(Sha256::hash(data));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
+  state.SetLabel(Sha256::implementation());
 }
 BENCHMARK(BM_Sha256_1KiB);
+
+/// The perf gate's normaliser: the frozen portable SHA-256
+/// (gate_normalizer.hpp) on the same 1 KiB.  scripts/perf_gate.py divides
+/// every gated row by this one.
+void BM_GateNormalizer_1KiB(benchmark::State& state) {
+  const std::vector<std::uint8_t> data = sha_input_1kib();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bench::GateNormalizerSha256::hash(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
+}
+BENCHMARK(BM_GateNormalizer_1KiB);
 
 /// One threshold verification against a state.range(0)-device binary store:
 /// binary-search lookup, HMAC binding-tag check, packed Hamming distance.

@@ -7,10 +7,16 @@ any gated benchmark regressed by more than the threshold (default 30 %).
 
 Raw wall-clock times are useless across heterogeneous CI runners, so the
 baseline stores *normalized ratios*: each benchmark's time divided by the
-time of a CPU-bound normalizer benchmark (BM_Sha256_1KiB) from the same run.
-A runner that is 2x slower slows the benchmark AND the normalizer 2x, so the
-ratio — and therefore the gate — is machine-speed independent.  Only genuine
-relative slowdowns of the simulation kernels trip it.
+time of a CPU-bound normalizer benchmark (BM_GateNormalizer_1KiB) from the
+same run.  A runner that is 2x slower slows the benchmark AND the normalizer
+2x, so the ratio — and therefore the gate — is machine-speed independent.
+Only genuine relative slowdowns of the simulation kernels trip it.
+
+The normalizer is frozen: bench/gate_normalizer.cpp is a verbatim copy of
+the portable streaming SHA-256 the ratios were first recorded against, and
+nothing else uses it.  The library's own SHA-256 (BM_Sha256_1KiB, ungated)
+runs on SHA-NI where the CPU has it, about 5x faster; normalizing by it
+would move every ratio whenever hashing got faster, or ran on another path.
 
 Hardware-counter gating: bench_micro attaches perf_event user counters (ipc,
 cache_miss_rate, ghz, ...) to its JSON when AROPUF_PROF=on and the kernel
@@ -40,7 +46,7 @@ Usage:
 Baseline refresh procedure (after an intentional perf change):
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build build -j
   AROPUF_THREADS=1 build/bench/bench_micro --benchmark_format=json \
-      --benchmark_filter='BM_(KernelFrequencies|AgingSeries200/1|ChipConstruction|ChipEvaluate|Sha256|FoldShard|AuthVerify|KeyReconstruct)' \
+      --benchmark_filter='BM_(KernelFrequencies|AgingSeries200/1|ChipConstruction|ChipEvaluate|GateNormalizer|FoldShard|AuthVerify|KeyReconstruct)' \
       --benchmark_min_time=0.2 > results.json
   python3 scripts/perf_gate.py update results.json
 then commit bench/baseline.json with a note on why the numbers moved.
@@ -60,7 +66,7 @@ import sys
 from pathlib import Path
 
 DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / "bench" / "baseline.json"
-NORMALIZER = "BM_Sha256_1KiB"
+NORMALIZER = "BM_GateNormalizer_1KiB"
 DEFAULT_THRESHOLD = 0.30
 
 _UNIT_TO_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}

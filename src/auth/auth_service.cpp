@@ -101,7 +101,7 @@ std::uint64_t build_fleet_shard(const FleetConfig& fleet, std::size_t shard_inde
   const auto [first, last] =
       shard_range(static_cast<std::size_t>(fleet.devices), shard_index, shard_count);
   const std::size_t count = last - first;
-  const Authenticator::VerifierKey key = fleet_verifier_key(fleet.seed);
+  const HmacSha256 key(fleet_verifier_key(fleet.seed));
 
   std::vector<std::pair<DeviceId, EnrollmentRecord>> records(count);
   parallel_for_chips(count, [&](std::size_t j) {

@@ -71,9 +71,8 @@ AuthPolicy AuthPolicy::for_false_accept_rate(std::size_t response_bits, double t
 }
 
 std::array<std::uint8_t, kRecordTagBytes> record_binding_tag(
-    const Authenticator::VerifierKey& key, DeviceId id, std::uint32_t response_bits,
-    std::uint32_t helper_bits, const std::uint8_t* response_bytes,
-    const std::uint8_t* helper_bytes) {
+    const HmacSha256& key, DeviceId id, std::uint32_t response_bits, std::uint32_t helper_bits,
+    const std::uint8_t* response_bytes, const std::uint8_t* helper_bytes) {
   const std::size_t response_len = (response_bits + 7) / 8;
   const std::size_t helper_len = (helper_bits + 7) / 8;
   std::vector<std::uint8_t> message;
@@ -83,7 +82,15 @@ std::array<std::uint8_t, kRecordTagBytes> record_binding_tag(
   append_u32le(message, helper_bits);
   if (response_len > 0) message.insert(message.end(), response_bytes, response_bytes + response_len);
   if (helper_len > 0) message.insert(message.end(), helper_bytes, helper_bytes + helper_len);
-  return hmac_sha256(key, message);
+  return key.mac(message);
+}
+
+std::array<std::uint8_t, kRecordTagBytes> record_binding_tag(
+    const Authenticator::VerifierKey& key, DeviceId id, std::uint32_t response_bits,
+    std::uint32_t helper_bits, const std::uint8_t* response_bytes,
+    const std::uint8_t* helper_bytes) {
+  return record_binding_tag(HmacSha256(key), id, response_bits, helper_bits, response_bytes,
+                            helper_bytes);
 }
 
 std::array<std::uint8_t, kRecordTagBytes> key_confirmation_tag(const Sha256::Digest& device_key,

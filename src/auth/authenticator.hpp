@@ -28,6 +28,7 @@
 #include "common/bitvector.hpp"
 #include "common/rng.hpp"
 #include "keygen/fuzzy_extractor.hpp"
+#include "keygen/hmac.hpp"
 
 namespace aropuf {
 
@@ -79,7 +80,8 @@ class Authenticator {
 
   /// Verifier over an existing store.  `key` authenticates stored records:
   /// enroll() stamps each record with HMAC(key, id || layout || payload) and
-  /// verify() re-checks the stamp before trusting store bytes.
+  /// verify() re-checks the stamp before trusting store bytes.  The key is
+  /// turned into HMAC midstates here, once.
   Authenticator(AuthPolicy policy, std::shared_ptr<EnrollmentStore> store, VerifierKey key);
 
   /// Verifier over an existing store with an all-zero verifier key.
@@ -141,7 +143,7 @@ class Authenticator {
 
   AuthPolicy policy_;
   std::shared_ptr<EnrollmentStore> store_;
-  VerifierKey key_{};
+  HmacSha256 key_;  // keyed once; read-only, shared by concurrent verify()s
   // verify() is logically const; the cache is internally synchronized.
   mutable std::unique_ptr<RecordCache> cache_;
 };
@@ -149,7 +151,13 @@ class Authenticator {
 /// Binding tag enroll() stamps on a record and verify() re-checks:
 /// HMAC-SHA256(verifier_key, id || response_bits || helper_bits ||
 /// packed_response || packed_helper).  Exposed so out-of-process store
-/// builders (the sharded fleet build) can stamp records identically.
+/// builders (the sharded fleet build) can stamp records identically.  `key`
+/// is the verifier key already keyed into HMAC midstates.
+[[nodiscard]] std::array<std::uint8_t, kRecordTagBytes> record_binding_tag(
+    const HmacSha256& key, DeviceId id, std::uint32_t response_bits, std::uint32_t helper_bits,
+    const std::uint8_t* response_bytes, const std::uint8_t* helper_bytes);
+
+/// The same tag from the raw verifier key; keys an HmacSha256 per call.
 [[nodiscard]] std::array<std::uint8_t, kRecordTagBytes> record_binding_tag(
     const Authenticator::VerifierKey& key, DeviceId id, std::uint32_t response_bits,
     std::uint32_t helper_bits, const std::uint8_t* response_bytes,

@@ -1,5 +1,7 @@
 #include "common/special_functions.hpp"
 
+#include <math.h>  // lgamma_r (glibc)
+
 #include <cmath>
 #include <limits>
 
@@ -23,7 +25,7 @@ double gamma_p_series(double a, double x) {
     sum += term;
     if (std::fabs(term) < std::fabs(sum) * kEpsilon) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return sum * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 
 // Lentz continued fraction for Q(a, x), valid for x >= a + 1.
@@ -45,10 +47,19 @@ double gamma_q_continued_fraction(double a, double x) {
     h *= delta;
     if (std::fabs(delta - 1.0) < kEpsilon) break;
   }
-  return h * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return h * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 
 }  // namespace
+
+double log_gamma(double x) noexcept {
+#if defined(__GLIBC__)
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+#else
+  return std::lgamma(x);
+#endif
+}
 
 double regularized_gamma_p(double a, double x) {
   ARO_REQUIRE(a > 0.0, "gamma P requires a > 0");

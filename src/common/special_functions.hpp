@@ -8,6 +8,11 @@
 
 namespace aropuf {
 
+/// ln|Γ(x)|.  std::lgamma also writes glibc's global `signgam`, a data race
+/// when pool workers call it concurrently; on glibc this is lgamma_r (the
+/// same algorithm, so the same bits), elsewhere std::lgamma.
+[[nodiscard]] double log_gamma(double x) noexcept;
+
 /// Regularized lower incomplete gamma P(a, x) = γ(a, x) / Γ(a), a > 0, x >= 0.
 [[nodiscard]] double regularized_gamma_p(double a, double x);
 

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/check.hpp"
+#include "common/special_functions.hpp"
 
 namespace aropuf {
 
@@ -124,9 +125,8 @@ double percentile(std::span<const double> samples, double p) {
 
 double log_binomial_coefficient(std::uint64_t n, std::uint64_t k) {
   ARO_REQUIRE(k <= n, "binomial coefficient requires k <= n");
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  return log_gamma(static_cast<double>(n) + 1.0) - log_gamma(static_cast<double>(k) + 1.0) -
+         log_gamma(static_cast<double>(n - k) + 1.0);
 }
 
 double binomial_pmf(std::uint64_t n, std::uint64_t k, double p) {

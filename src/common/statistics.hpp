@@ -78,7 +78,7 @@ class Histogram {
 /// Exact percentile (linear interpolation) of a sample set; sorts a copy.
 [[nodiscard]] double percentile(std::span<const double> samples, double p);
 
-/// log(n choose k) via lgamma.
+/// log(n choose k) via log_gamma (special_functions.hpp).
 [[nodiscard]] double log_binomial_coefficient(std::uint64_t n, std::uint64_t k);
 
 /// Binomial PMF P[X = k] for X ~ Bin(n, p), computed in log space.

@@ -1,6 +1,8 @@
 #include "keygen/sha256.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "common/check.hpp"
 
@@ -24,92 +26,130 @@ constexpr std::uint32_t rotr(std::uint32_t x, int s) { return std::rotr(x, s); }
 
 }  // namespace
 
+namespace detail {
+
+void sha256_compress_portable(Sha256State& state, const std::uint8_t* data,
+                              std::size_t blocks) noexcept {
+  for (; blocks > 0; --blocks, data += Sha256::kBlockBytes) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(data[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(data[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(data[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(data[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    std::uint32_t a = state[0];
+    std::uint32_t b = state[1];
+    std::uint32_t c = state[2];
+    std::uint32_t d = state[3];
+    std::uint32_t e = state[4];
+    std::uint32_t f = state[5];
+    std::uint32_t g = state[6];
+    std::uint32_t h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 =
+          h + s1 + ch + kRoundConstants[static_cast<std::size_t>(i)] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if !defined(AROPUF_SHA_NI_ENABLED)
+Sha256CompressFn sha256_compress_shani() noexcept { return nullptr; }
+#endif
+
+}  // namespace detail
+
+namespace {
+
+/// The compression chosen for this process: resolved on first use and
+/// read-only afterwards.
+detail::Sha256CompressFn compress_fn() noexcept {
+  static const detail::Sha256CompressFn fn = [] {
+    const detail::Sha256CompressFn shani = detail::sha256_compress_shani();
+    return shani != nullptr ? shani : &detail::sha256_compress_portable;
+  }();
+  return fn;
+}
+
+}  // namespace
+
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19},
       buffer_{} {}
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  std::uint32_t a = state_[0];
-  std::uint32_t b = state_[1];
-  std::uint32_t c = state_[2];
-  std::uint32_t d = state_[3];
-  std::uint32_t e = state_[4];
-  std::uint32_t f = state_[5];
-  std::uint32_t g = state_[6];
-  std::uint32_t h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[static_cast<std::size_t>(i)] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::update(std::span<const std::uint8_t> data) {
   ARO_REQUIRE(!finished_, "Sha256 reused after finish()");
+  if (data.empty()) return;
   total_bytes_ += data.size();
-  std::size_t offset = 0;
-  while (offset < data.size()) {
-    const std::size_t take = std::min(data.size() - offset, buffer_.size() - buffered_);
-    std::copy(data.begin() + static_cast<std::ptrdiff_t>(offset),
-              data.begin() + static_cast<std::ptrdiff_t>(offset + take),
-              buffer_.begin() + static_cast<std::ptrdiff_t>(buffered_));
+  const std::uint8_t* in = data.data();
+  std::size_t left = data.size();
+  if (buffered_ > 0) {
+    const std::size_t take = std::min(left, kBlockBytes - buffered_);
+    std::memcpy(buffer_.data() + buffered_, in, take);
     buffered_ += take;
-    offset += take;
-    if (buffered_ == buffer_.size()) {
-      process_block(buffer_.data());
-      buffered_ = 0;
-    }
+    in += take;
+    left -= take;
+    if (buffered_ < kBlockBytes) return;
+    compress_fn()(state_, buffer_.data(), 1);
+    buffered_ = 0;
+  }
+  // Whole blocks compress straight from the input.
+  const std::size_t blocks = left / kBlockBytes;
+  if (blocks > 0) {
+    compress_fn()(state_, in, blocks);
+    in += blocks * kBlockBytes;
+    left -= blocks * kBlockBytes;
+  }
+  if (left > 0) {
+    std::memcpy(buffer_.data(), in, left);
+    buffered_ = left;
   }
 }
 
 Sha256::Digest Sha256::finish() {
   ARO_REQUIRE(!finished_, "Sha256 reused after finish()");
-  const std::uint64_t bit_length = total_bytes_ * 8;
-  // Padding: 0x80, zeros, 64-bit big-endian length (update() is reused for
-  // the padding bytes; total_bytes_ is no longer read after this point).
-  const std::uint8_t pad_one = 0x80;
-  update({&pad_one, 1});
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update({&zero, 1});
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
-  }
-  update({len_bytes, 8});
   finished_ = true;
-  ARO_ASSERT(buffered_ == 0, "padding must end on a block boundary");
+  // Padding: 0x80, zeros, 64-bit big-endian bit length.
+  const std::uint64_t bit_length = total_bytes_ * 8;
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > kBlockBytes - 8) {
+    std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffered_), buffer_.end(), 0);
+    compress_fn()(state_, buffer_.data(), 1);
+    buffered_ = 0;
+  }
+  std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffered_), buffer_.end() - 8, 0);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[kBlockBytes - 8 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+  }
+  compress_fn()(state_, buffer_.data(), 1);
 
   Digest digest;
   for (int i = 0; i < 8; ++i) {
@@ -136,6 +176,10 @@ std::string Sha256::to_hex(const Digest& digest) {
     out.push_back(kHex[byte & 0x0F]);
   }
   return out;
+}
+
+const char* Sha256::implementation() noexcept {
+  return compress_fn() == &detail::sha256_compress_portable ? "portable" : "sha_ni";
 }
 
 }  // namespace aropuf

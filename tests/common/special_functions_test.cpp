@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <math.h>  // signgam (glibc)
+
 #include <cmath>
 #include <stdexcept>
 
@@ -55,6 +57,29 @@ TEST(GammaTest, RejectsBadDomain) {
   EXPECT_THROW((void)regularized_gamma_p(0.0, 1.0), std::invalid_argument);
   EXPECT_THROW((void)regularized_gamma_p(1.0, -1.0), std::invalid_argument);
   EXPECT_THROW((void)regularized_gamma_q(-2.0, 1.0), std::invalid_argument);
+}
+
+TEST(GammaTest, LogGammaMatchesStdLgammaBitwise) {
+  // Same algorithm as std::lgamma, so E7's binomial tails keep their bits.
+  for (double x = 0.25; x < 2000.0; x = x * 1.07 + 0.5) {
+    EXPECT_EQ(log_gamma(x), std::lgamma(x)) << "x=" << x;
+  }
+  for (const double n : {1.0, 2.0, 128.0, 763.0, 1e6}) {
+    EXPECT_EQ(log_gamma(n), std::lgamma(n)) << "n=" << n;
+  }
+}
+
+TEST(GammaTest, IncompleteGammaLeavesSigngamAlone) {
+#if defined(__GLIBC__)
+  constexpr int kSentinel = 12345;
+  signgam = kSentinel;
+  (void)regularized_gamma_p(2.5, 1.0);
+  (void)regularized_gamma_q(2.5, 7.0);
+  EXPECT_NEAR(log_gamma(0.5), 0.5 * std::log(std::acos(-1.0)), 1e-15);
+  EXPECT_EQ(signgam, kSentinel);
+#else
+  GTEST_SKIP() << "signgam is a glibc global";
+#endif
 }
 
 TEST(NormalCdfTest, KnownValues) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <math.h>  // signgam (glibc)
+
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -188,6 +190,19 @@ TEST(BinomialTest, LeftSideBranchConsistent) {
   double direct = 0.0;
   for (std::uint64_t i = 11; i <= 100; ++i) direct += binomial_pmf(100, i, 0.5);
   EXPECT_NEAR(tail, direct, 1e-9);
+}
+
+TEST(BinomialTest, CoefficientLeavesSigngamAlone) {
+  // std::lgamma writes glibc's global signgam; log_binomial_coefficient runs
+  // on pool workers (the ECC scheme search), so it must not touch it.
+#if defined(__GLIBC__)
+  constexpr int kSentinel = 12345;
+  signgam = kSentinel;
+  EXPECT_GT(log_binomial_coefficient(127, 10), 0.0);
+  EXPECT_EQ(signgam, kSentinel);
+#else
+  GTEST_SKIP() << "signgam is a glibc global";
+#endif
 }
 
 }  // namespace

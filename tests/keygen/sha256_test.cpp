@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace aropuf {
 namespace {
@@ -17,6 +21,30 @@ std::vector<std::uint8_t> bytes_of(const std::string& s) {
 std::string hash_hex(const std::string& s) {
   const auto b = bytes_of(s);
   return Sha256::to_hex(Sha256::hash(b));
+}
+
+std::vector<std::uint8_t> random_bytes(Xoshiro256& rng, std::size_t n) {
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.bounded(256));
+  return out;
+}
+
+/// Textbook FIPS 180-4 hash on the portable compression: the whole padded
+/// message built up front, then compressed in one call.
+Sha256::Digest reference_hash(const std::vector<std::uint8_t>& message) {
+  std::vector<std::uint8_t> padded = message;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(message.size()) * 8;
+  for (int i = 7; i >= 0; --i) padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  detail::Sha256State state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                               0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  detail::sha256_compress_portable(state, padded.data(), padded.size() / 64);
+  Sha256::Digest digest;
+  for (std::size_t i = 0; i < 32; ++i) {
+    digest[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return digest;
 }
 
 // FIPS 180-4 / NIST CAVP reference vectors.
@@ -79,6 +107,60 @@ TEST(Sha256Test, ReuseAfterFinishRejected) {
 TEST(Sha256Test, DistinctInputsDistinctDigests) {
   EXPECT_NE(hash_hex("abc"), hash_hex("abd"));
   EXPECT_NE(hash_hex("abc"), hash_hex("abc "));
+}
+
+TEST(Sha256Test, StreamingMatchesReferenceAtEveryLength) {
+  // Every padding case (0..300 bytes crosses the 55/56/64-byte boundaries
+  // several times), fed in random-sized chunks through the dispatched path.
+  Xoshiro256 rng(41);
+  for (std::size_t n = 0; n <= 300; ++n) {
+    const std::vector<std::uint8_t> msg = random_bytes(rng, n);
+    Sha256 h;
+    std::size_t at = 0;
+    while (at < n) {
+      const std::size_t take = std::min<std::size_t>(n - at, 1 + rng.bounded(150));
+      h.update(std::span<const std::uint8_t>(msg).subspan(at, take));
+      at += take;
+    }
+    const Sha256::Digest expected = reference_hash(msg);
+    EXPECT_EQ(Sha256::to_hex(h.finish()), Sha256::to_hex(expected)) << "length " << n;
+    EXPECT_EQ(Sha256::to_hex(Sha256::hash(msg)), Sha256::to_hex(expected)) << "length " << n;
+  }
+}
+
+TEST(Sha256Test, ImplementationNamesTheDispatchedPath) {
+  const std::string name = Sha256::implementation();
+  EXPECT_EQ(name, detail::sha256_compress_shani() != nullptr ? "sha_ni" : "portable");
+}
+
+TEST(Sha256Test, ConcurrentFirstUseAgrees) {
+  // Eight threads race to the process's first hash (each ctest entry is its
+  // own process), so the compression choice is made under contention; it is
+  // a one-time initialisation, read-only afterwards (checked under TSan).
+  const std::vector<std::uint8_t> msg(1000, 0x5a);
+  std::vector<std::string> digests(8);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < digests.size(); ++t) {
+    threads.emplace_back([&, t] { digests[t] = Sha256::to_hex(Sha256::hash(msg)); });
+  }
+  for (auto& th : threads) th.join();
+  for (const auto& d : digests) EXPECT_EQ(d, Sha256::to_hex(reference_hash(msg)));
+}
+
+TEST(Sha256ShaniTest, MatchesPortableCompression) {
+  const detail::Sha256CompressFn shani = detail::sha256_compress_shani();
+  if (shani == nullptr) GTEST_SKIP() << "SHA-NI compression not compiled in or CPU lacks SHA";
+  Xoshiro256 rng(2014);
+  for (int c = 0; c < 5000; ++c) {
+    detail::Sha256State portable;
+    for (auto& word : portable) word = static_cast<std::uint32_t>(rng());
+    detail::Sha256State fast = portable;
+    const std::size_t blocks = 1 + rng.bounded(4);
+    const std::vector<std::uint8_t> data = random_bytes(rng, 64 * blocks);
+    detail::sha256_compress_portable(portable, data.data(), blocks);
+    shani(fast, data.data(), blocks);
+    ASSERT_EQ(fast, portable) << "case " << c << ", " << blocks << " block(s)";
+  }
 }
 
 TEST(Sha256Test, HexRenderingIsLowercase64Chars) {
