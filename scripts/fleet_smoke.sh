@@ -1,8 +1,8 @@
 #!/bin/sh
 # Fleet end-to-end smoke: an aropuf_shard coordinator opened with --listen
-# (no local workers, --jobs 0) plus two separately started --worker
-# processes, with the merged statistics required to be bit-identical to a
-# single-process run (--check-single).  With --kill-one, the first worker
+# plus two separately started --worker processes, with the merged
+# statistics required to be bit-identical to a single-process run
+# (--check-single).  With --kill-one, the first worker
 # hard-closes its connection on its first job (the --abort-first-job test
 # hook), which drives the coordinator's reassignment path deterministically —
 # the run must still complete bit-identically.
@@ -31,7 +31,7 @@ export AROPUF_PROF
 
 # Total timeout bounds a hung run (a dead worker must surface as a reassign
 # or a failed job, never as a stuck CI leg).
-"$FLEET" --listen 0 --jobs 0 --port-file "$PORT_FILE" \
+"$FLEET" --listen 0 --port-file "$PORT_FILE" \
   --shards 3 --chips 12 --checkpoints 1,10 \
   --out "$OUT" --check-single --timeout 600 --run shard_study &
 COORD_PID=$!

@@ -163,7 +163,7 @@ void compute_frequencies(const RoArraySoA& soa, const TechnologyParams& tech, Op
     // on the first batch of every run-record generation (later
     // set_delay_backend calls keep it current).  Re-checking the generation
     // matters when one process produces many manifests — fleet workers and
-    // --no-fork shard runs reset the run record between jobs, and a
+    // in-process shard runs reset the run record between jobs, and a
     // process-lifetime announce would leave every manifest after the first
     // at "unknown".  Racing threads at a generation edge re-announce the
     // same value, which is harmless.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -30,16 +31,16 @@ bool parse_uint64_value(const std::string& text, unsigned long long* out) {
   return true;
 }
 
-bool parse_double_value(const std::string& text, double* out) {
+}  // namespace
+
+bool parse_double(const std::string& text, double* out) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
+  if (errno != 0 || end == text.c_str() || *end != '\0' || !std::isfinite(v)) return false;
   *out = v;
   return true;
 }
-
-}  // namespace
 
 Parser::Parser(std::string program, std::string summary)
     : program_(std::move(program)), summary_(std::move(summary)) {}
@@ -108,7 +109,7 @@ Parser& Parser::opt_double(const std::string& name, double* out,
   o.help = help;
   o.apply = [out, min_value](const std::string& value, std::string* error) {
     double v = 0.0;
-    if (!parse_double_value(value, &v) || v < min_value) {
+    if (!parse_double(value, &v) || v < min_value) {
       *error = "expected a number >= " + std::to_string(min_value);
       return false;
     }

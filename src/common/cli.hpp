@@ -42,7 +42,8 @@ class Parser {
   // -- flag declarations ----------------------------------------------------
   // Each returns *this so declarations can chain.  `name` must include the
   // leading dashes ("--chips").  Numeric overloads reject values below
-  // `min_value` with a diagnostic naming the flag.
+  // `min_value`, and opt_double non-finite ones, with a diagnostic naming
+  // the flag.
 
   Parser& flag(const std::string& name, bool* out, const std::string& help);
   Parser& opt_int(const std::string& name, int* out, const std::string& value_name,
@@ -96,6 +97,11 @@ class Parser {
   bool allow_unknown_ = false;
   bool env_help_ = false;
 };
+
+/// Parses `text` as one finite double (strtod grammar, nothing trailing).
+/// NaN, infinities and out-of-range values are rejected.  The number parser
+/// behind opt_double, for opt_custom grammars that hold numbers.
+[[nodiscard]] bool parse_double(const std::string& text, double* out);
 
 // -- environment registry ---------------------------------------------------
 

@@ -66,12 +66,12 @@ Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi) 
   counts_.assign(bins, 0);
 }
 
-void Histogram::add(double x) noexcept {
+void Histogram::add(double x, std::size_t n) noexcept {
   const double t = (x - lo_) / (hi_ - lo_);
   auto bin = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
   bin = std::clamp<std::ptrdiff_t>(bin, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
+  counts_[static_cast<std::size_t>(bin)] += n;
+  total_ += n;
 }
 
 std::size_t Histogram::count(std::size_t bin) const {

@@ -55,7 +55,8 @@ class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins);
 
-  void add(double x) noexcept;
+  /// Adds `n` samples at `x`.
+  void add(double x, std::size_t n = 1) noexcept;
 
   [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
   [[nodiscard]] std::size_t count(std::size_t bin) const;

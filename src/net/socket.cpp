@@ -210,7 +210,7 @@ namespace {
 [[noreturn]] void unavailable() {
   throw std::runtime_error(
       "net: TCP transport requires POSIX sockets (unavailable on this platform); "
-      "use aropuf_shard --no-fork for single-host sharded runs");
+      "run aropuf_shard without --listen or --worker for single-host sharded runs");
 }
 }  // namespace
 

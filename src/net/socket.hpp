@@ -9,12 +9,11 @@
 //
 // Platform: POSIX only.  On _WIN32 the header still compiles (so targets that
 // merely link aropuf_net build everywhere) but every entry point throws;
-// aropuf_shard --no-fork (in-process shards, no sockets) is the supported
-// Windows story.
+// aropuf_shard without --listen or --worker (in-process shards, no sockets)
+// is the supported Windows story.
 //
-// Every descriptor created here is close-on-exec, so a coordinator that
-// starts local workers never leaks its listener or its connections into
-// them.
+// Every descriptor created here is close-on-exec, so a process that execs
+// another never leaks its listener or its connections into it.
 #pragma once
 
 #include <cstddef>

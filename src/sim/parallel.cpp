@@ -172,9 +172,11 @@ struct ParallelExecutor::Impl {
          {"threads", JsonValue(thread_count)}});
     job_fn = &fn;
     job_n = n;
-    // ~4 chunks per thread balances scheduling overhead against tail latency
-    // from uneven per-index cost (aging a chip is much slower than hashing).
-    const std::size_t target_chunks = static_cast<std::size_t>(thread_count) * 4;
+    // ~16 chunks per thread balances scheduling overhead (one atomic claim a
+    // chunk) against the tail: a job ends when its last chunk does, and the
+    // shard study's chip pass mixes a chip's whole aged life with bare
+    // build-and-read tasks, on hosts where a thread can stall mid-chunk.
+    const std::size_t target_chunks = static_cast<std::size_t>(thread_count) * 16;
     chunk_size = n / target_chunks > 0 ? n / target_chunks : 1;
     next_index.store(0, std::memory_order_relaxed);
     job_failed.store(false, std::memory_order_relaxed);

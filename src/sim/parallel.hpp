@@ -71,7 +71,7 @@ class ParallelExecutor {
 
 /// Balanced contiguous split of `count` items over `shards`: returns shard
 /// `index`'s [lo, hi).  Ranges of all shards exactly tile [0, count).  The
-/// one split behind the study shards, their pair chunks and the fleet
+/// one split behind the study shards' chip and pair ranges and the fleet
 /// enrollment-store shards.
 [[nodiscard]] std::pair<std::size_t, std::size_t> shard_range(std::size_t count,
                                                               std::size_t index,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <optional>
 
 #include "circuit/operating_point.hpp"
 #include "common/check.hpp"
@@ -11,15 +10,10 @@
 #include "sim/parallel.hpp"
 #include "telemetry/manifest.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace aropuf {
 
 namespace {
-
-/// E3 pair work is reported in chunks so the HUD sees movement inside the
-/// O(N^2) stage; chunking never changes the tally (integer sums commute).
-constexpr std::size_t kPairChunks = 8;
 
 /// The two designs under study, keyed for series names.
 std::vector<std::pair<std::string, PufConfig>> study_designs() {
@@ -32,45 +26,69 @@ std::string format_year(double y) {
   return buf;
 }
 
-/// Builds the shard's chips as the same dies a full-population build would
-/// produce: chip i always draws from fabric.child("chip", i).
-std::vector<RoPuf> build_chip_range(const PopulationConfig& pop, const PufConfig& puf,
-                                    std::size_t lo, std::size_t hi) {
-  const telemetry::TraceScope span(
-      "build_chip_range", "shard",
-      {{"lo", JsonValue(static_cast<std::uint64_t>(lo))},
-       {"hi", JsonValue(static_cast<std::uint64_t>(hi))}});
-  telemetry::MetricsRegistry::global().counter("study.chips_built").add(hi - lo);
-  const RngFabric fabric(pop.seed);
-  std::vector<std::optional<RoPuf>> staged(hi - lo);
-  parallel_for_chips(staged.size(), [&](std::size_t i) {
-    staged[i].emplace(pop.tech, puf, fabric.child("chip", static_cast<std::uint64_t>(lo + i)));
-  });
-  std::vector<RoPuf> chips;
-  chips.reserve(staged.size());
-  for (auto& chip : staged) chips.push_back(std::move(*chip));
-  return chips;
+/// A per-chip series over chips [lo, lo + own) of `total`, values zeroed.
+SampleSeries chip_series(std::string name, std::size_t lo, std::size_t own, std::size_t total,
+                         double hist_hi) {
+  SampleSeries series;
+  series.name = std::move(name);
+  series.offset = lo;
+  series.total = total;
+  series.hist_lo = 0.0;
+  series.hist_hi = hist_hi;
+  series.hist_bins = 50;
+  series.values.assign(own, 0.0);
+  return series;
 }
 
-/// Golden (fresh, eval 0) responses of the WHOLE population — the pair study
-/// needs every chip's response regardless of which pair range this shard
-/// owns.  `own` holds the responses of chips [lo, lo + own.size()), which
-/// E2 already read from the same fresh dies at the same corner; only the
-/// other chips are built, evaluated, and dropped one at a time.
-std::vector<BitVector> all_golden_responses(const PopulationConfig& pop, const PufConfig& puf,
-                                            std::size_t lo, std::vector<BitVector> own) {
-  const auto chips = static_cast<std::size_t>(pop.chips);
-  const std::size_t hi = lo + own.size();
-  const telemetry::TraceScope span("all_golden_responses", "shard",
-                                   {{"chips", JsonValue(pop.chips)}});
-  telemetry::MetricsRegistry::global().counter("study.chips_built").add(chips - own.size());
-  const OperatingPoint op = nominal_operating_point(pop.tech);
-  const RngFabric fabric(pop.seed);
-  return parallel_map_chips(chips, [&](std::size_t i) {
-    if (i >= lo && i < hi) return std::move(own[i - lo]);
-    const RoPuf chip(pop.tech, puf, fabric.child("chip", static_cast<std::uint64_t>(i)));
-    return chip.evaluate(op, /*eval_index=*/0);
+/// E3's exact tally over pair indices [lo, hi) of the flattened pair space,
+/// in the lexicographic (row, col) order compute_uniqueness uses.  One pool
+/// task per row of the pair triangle counts how often each bit-HD value
+/// occurs in the row's owned segment; every tally field follows from the
+/// summed integer counts, so no split of the range can move a bit.
+PairTally tally_pair_range(const std::vector<BitVector>& golden, std::size_t lo,
+                           std::size_t hi) {
+  const std::size_t chips = golden.size();
+  const std::size_t bits = golden.front().size();
+  // row_start[i] is the index of pair (i, i + 1); row i ends where row i + 1
+  // starts, and the last row is empty.
+  std::vector<std::size_t> row_start(chips + 1, 0);
+  for (std::size_t i = 0; i < chips; ++i) row_start[i + 1] = row_start[i] + (chips - 1 - i);
+  const auto first_row = static_cast<std::size_t>(
+      std::upper_bound(row_start.begin(), row_start.end(), lo) - row_start.begin() - 1);
+  const auto end_row = static_cast<std::size_t>(
+      std::lower_bound(row_start.begin(), row_start.end(), hi) - row_start.begin());
+  const std::size_t rows = lo < hi ? end_row - first_row : 0;
+
+  const auto row_counts = parallel_map_chips(rows, [&](std::size_t r) {
+    const std::size_t row = first_row + r;
+    const std::size_t col_lo = row + 1 + (std::max(lo, row_start[row]) - row_start[row]);
+    const std::size_t col_hi = row + 1 + (std::min(hi, row_start[row + 1]) - row_start[row]);
+    std::vector<std::uint64_t> count(bits + 1, 0);
+    for (std::size_t col = col_lo; col < col_hi; ++col) {
+      ++count[hamming_distance(golden[row], golden[col])];
+    }
+    return count;
   });
+
+  PairTally tally;
+  tally.offset = lo;
+  tally.total = row_start[chips];
+  tally.denom = bits;
+  tally.bins.assign(50, 0);
+  Histogram hist(0.0, 1.0, tally.bins.size());  // compute_uniqueness's binning
+  for (std::uint64_t hd = 0; hd <= bits; ++hd) {
+    std::uint64_t n = 0;
+    for (const std::vector<std::uint64_t>& count : row_counts) n += count[hd];
+    if (n == 0) continue;
+    if (tally.count == 0) tally.min = hd;
+    tally.max = hd;
+    tally.count += n;
+    tally.sum += n * hd;
+    tally.sum_sq += n * hd * hd;
+    hist.add(static_cast<double>(hd) / static_cast<double>(bits), n);
+  }
+  for (std::size_t b = 0; b < tally.bins.size(); ++b) tally.bins[b] = hist.count(b);
+  return tally;
 }
 
 }  // namespace
@@ -79,147 +97,79 @@ ShardStudyResult run_shard_study(const ShardStudyConfig& cfg, std::size_t index,
                                  std::size_t count, const StudyProgressFn& progress) {
   ARO_REQUIRE(cfg.pop.chips >= 2, "study needs at least two chips");
   ARO_REQUIRE(!cfg.checkpoints.empty(), "study needs at least one aging checkpoint");
+  ARO_REQUIRE(cfg.checkpoints.front() >= 0.0 &&
+                  std::is_sorted(cfg.checkpoints.begin(), cfg.checkpoints.end()),
+              "checkpoints must be non-negative and non-decreasing");
   const auto chips_total = static_cast<std::size_t>(cfg.pop.chips);
   const auto [chip_lo, chip_hi] = shard_range(chips_total, index, count);
+  const std::size_t own = chip_hi - chip_lo;
   const std::size_t pairs_total = chips_total * (chips_total - 1) / 2;
   const auto [pair_lo, pair_hi] = shard_range(pairs_total, index, count);
+  const std::size_t years = cfg.checkpoints.size();
 
   const auto designs = study_designs();
-  // Work units for progress reporting: per design, one unit per E2 build +
-  // one per checkpoint, then one per E3 response build + one per pair chunk.
-  const std::int64_t units_total = static_cast<std::int64_t>(
-      designs.size() * (1 + cfg.checkpoints.size() + 1 + kPairChunks));
+  // Work units for progress reporting: a chip pass and a pair pass per design.
+  const auto units_total = static_cast<std::int64_t>(2 * designs.size());
   std::int64_t units_done = 0;
   const auto report = [&](const std::string& stage) {
+    ++units_done;
     if (progress) progress(stage, units_done, units_total);
   };
 
-  telemetry::MetricsRegistry::global().gauge("study.shard_chips").set(
-      static_cast<double>(chip_hi - chip_lo));
-  telemetry::MetricsRegistry::global().gauge("study.shard_pairs").set(
-      static_cast<double>(pair_hi - pair_lo));
+  auto& registry = telemetry::MetricsRegistry::global();
+  registry.gauge("study.shard_chips").set(static_cast<double>(own));
+  registry.gauge("study.shard_pairs").set(static_cast<double>(pair_hi - pair_lo));
 
   ShardStudyResult result;
   result.chip_lo = chip_lo;
   result.chip_hi = chip_hi;
   const OperatingPoint op = nominal_operating_point(cfg.pop.tech);
+  const RngFabric fabric(cfg.pop.seed);
 
   for (const auto& [key, puf] : designs) {
-    // The shard's own chips' golden responses: read by E2, reused by E3.
-    std::vector<BitVector> golden;
-
-    // --- E2: aging flip series over the shard's chip range ----------------
-    {
-      const telemetry::StageTimer stage("shard.e2[" + key + "]");
-      auto chips = build_chip_range(cfg.pop, puf, chip_lo, chip_hi);
-      golden = parallel_map_chips(
-          chips.size(), [&](std::size_t c) { return chips[c].evaluate(op, /*eval_index=*/0); });
-      ++units_done;
-      report("e2." + key + ".build");
-
-      // Mirrors run_flip_checkpoints: incremental aging, eval index 1.. per
-      // checkpoint, per-chip flip percent.  The per-chip values depend only
-      // on the chip's own RNG streams, never on shard or thread layout.
-      double previous_years = 0.0;
-      std::uint64_t eval_index = 1;
-      for (const double y : cfg.checkpoints) {
-        ARO_REQUIRE(y >= previous_years, "checkpoints must be non-decreasing");
-        const auto flip_percent = parallel_map_chips(chips.size(), [&](std::size_t c) {
-          chips[c].age_years(y - previous_years);
-          return fractional_hamming_distance(golden[c], chips[c].evaluate(op, eval_index)) *
-                 100.0;
-        });
-        previous_years = y;
-        ++eval_index;
-        SampleSeries series;
-        series.name = "e2." + key + ".flip_percent.y" + format_year(y);
-        series.offset = chip_lo;
-        series.total = chips_total;
-        series.hist_lo = 0.0;
-        series.hist_hi = 100.0;
-        series.hist_bins = 50;
-        series.values = flip_percent;
-        result.samples.push_back(std::move(series));
-        ++units_done;
-        report("e2." + key + ".y" + format_year(y));
-      }
+    // E2's flip series per checkpoint, then E3's uniformity, over own chips.
+    std::vector<SampleSeries> series;
+    for (const double y : cfg.checkpoints) {
+      series.push_back(chip_series("e2." + key + ".flip_percent.y" + format_year(y), chip_lo, own,
+                                   chips_total, 100.0));
     }
+    series.push_back(chip_series("e3." + key + ".uniformity", chip_lo, own, chips_total, 1.0));
+    std::vector<BitVector> golden(chips_total);
 
-    // --- E3: uniqueness tally over the shard's pair range -----------------
+    // Chip pass: one task per die of the population, which chip i always
+    // draws from fabric.child("chip", i).  Each die gives E3 its fresh
+    // (eval 0) read; the shard's own chips then age through every checkpoint
+    // as run_flip_checkpoints does (incremental aging, eval 1, 2, ...), so
+    // every value depends only on the chip's own streams.
     {
-      const telemetry::StageTimer stage("shard.e3[" + key + "]");
-      const std::vector<BitVector> responses =
-          all_golden_responses(cfg.pop, puf, chip_lo, std::move(golden));
-      ++units_done;
-      report("e3." + key + ".responses");
-
-      const std::size_t bits = responses.front().size();
-
-      // Uniformity is per-chip: only the shard's own chips, as samples.
-      SampleSeries uniformity;
-      uniformity.name = "e3." + key + ".uniformity";
-      uniformity.offset = chip_lo;
-      uniformity.total = chips_total;
-      uniformity.hist_lo = 0.0;
-      uniformity.hist_hi = 1.0;
-      uniformity.hist_bins = 50;
-      uniformity.values.reserve(chip_hi - chip_lo);
-      for (std::size_t c = chip_lo; c < chip_hi; ++c) {
-        uniformity.values.push_back(responses[c].ones_fraction());
-      }
-      result.samples.push_back(std::move(uniformity));
-
-      // Flattened pair index k -> (row, col), the same lexicographic order
-      // compute_uniqueness uses; the shard owns k in [pair_lo, pair_hi).
-      std::vector<std::size_t> row_offset(chips_total);
-      for (std::size_t i = 0, k = 0; i < chips_total; ++i) {
-        row_offset[i] = k;
-        k += chips_total - 1 - i;
-      }
-
-      PairTally tally;
-      tally.name = "e3." + key + ".pair_hd";
-      tally.offset = pair_lo;
-      tally.total = pairs_total;
-      tally.denom = bits;
-      tally.bins.assign(50, 0);
-      Histogram hist(0.0, 1.0, tally.bins.size());  // compute_uniqueness's binning
-      bool first_value = true;
-      const std::size_t owned = pair_hi - pair_lo;
-      for (std::size_t chunk = 0; chunk < kPairChunks; ++chunk) {
-        const auto [c_lo, c_hi] = shard_range(owned, chunk, kPairChunks);
-        const auto hds = parallel_map_chips(c_hi - c_lo, [&](std::size_t t) {
-          const std::size_t k = pair_lo + c_lo + t;
-          const auto row = static_cast<std::size_t>(
-              std::distance(row_offset.begin(),
-                            std::upper_bound(row_offset.begin(), row_offset.end(), k)) -
-              1);
-          const std::size_t col = row + 1 + (k - row_offset[row]);
-          return static_cast<std::uint64_t>(hamming_distance(responses[row], responses[col]));
-        });
-        for (const std::uint64_t hd : hds) {
-          ++tally.count;
-          tally.sum += hd;
-          tally.sum_sq += hd * hd;
-          if (first_value) {
-            tally.min = hd;
-            tally.max = hd;
-            first_value = false;
-          } else {
-            tally.min = std::min(tally.min, hd);
-            tally.max = std::max(tally.max, hd);
-          }
-          hist.add(static_cast<double>(hd) / static_cast<double>(bits));
+      const telemetry::StageTimer stage("shard.chips[" + key + "]");
+      registry.counter("study.chips_built").add(chips_total);
+      parallel_for_chips(chips_total, [&](std::size_t i) {
+        RoPuf chip(cfg.pop.tech, puf, fabric.child("chip", static_cast<std::uint64_t>(i)));
+        golden[i] = chip.evaluate(op, /*eval_index=*/0);
+        if (i < chip_lo || i >= chip_hi) return;
+        double previous_years = 0.0;
+        for (std::size_t j = 0; j < years; ++j) {
+          chip.age_years(cfg.checkpoints[j] - previous_years);
+          previous_years = cfg.checkpoints[j];
+          series[j].values[i - chip_lo] =
+              fractional_hamming_distance(golden[i], chip.evaluate(op, j + 1)) * 100.0;
         }
-        ++units_done;
-        report("e3." + key + ".pairs");
-      }
-      for (std::size_t b = 0; b < tally.bins.size(); ++b) {
-        tally.bins[b] = hist.count(b);
-      }
-      telemetry::MetricsRegistry::global().counter("study.pair_hds").add(tally.count);
+        series[years].values[i - chip_lo] = golden[i].ones_fraction();
+      });
+    }
+    for (SampleSeries& s : series) result.samples.push_back(std::move(s));
+    report(key + ".chips");
+
+    // Pair pass: the shard's owned slice of the O(N^2) pair space.
+    {
+      const telemetry::StageTimer stage("shard.pairs[" + key + "]");
+      PairTally tally = tally_pair_range(golden, pair_lo, pair_hi);
+      tally.name = "e3." + key + ".pair_hd";
+      registry.counter("study.pair_hds").add(tally.count);
       result.tallies.push_back(std::move(tally));
     }
+    report(key + ".pairs");
   }
   return result;
 }

@@ -2,7 +2,7 @@
 //
 // A statistical study over a large chip population (Wilde-style RO-PUF
 // security analysis at 10k chips) splits into S seed-range shards, each run
-// by an independent worker process.  This module defines what one shard
+// in-process or by a remote worker.  This module defines what one shard
 // computes and — critically — how the per-shard payloads recombine without
 // losing bit-identity with a single-process run:
 //
@@ -23,10 +23,11 @@
 // Chips are identified by their global index: chip i is always the die drawn
 // from RngFabric(seed).child("chip", i), so shard boundaries never change
 // which silicon is simulated (the same guarantee make_population gives).
-// Every shard needs all N golden responses for the pair study (O(N) work):
-// it reuses the eval-0 responses its E2 read from its own chips [lo, hi)
-// and builds the other N - (hi - lo) dies.  It only owns the pair range it
-// tallies (the O(N^2) part that matters).
+// Every shard needs all N golden responses for the pair study (O(N) work),
+// so per design it runs two pool passes: one task per die builds it and
+// reads it fresh, and the shard's own chips [lo, hi) age through every
+// checkpoint in the same task; then one pass tallies the pair range the
+// shard owns (the O(N^2) part that matters).
 #pragma once
 
 #include <cstdint>
@@ -91,7 +92,7 @@ using StudyProgressFn = std::function<void(const std::string&, std::int64_t, std
 /// Runs shard `index` of `count` shards: both designs' E2 aging series over
 /// the shard's chip range plus the E3 uniqueness tally over the shard's pair
 /// range.  Results are bit-identical for any (count, threads) decomposition
-/// once aggregated.  `progress` (optional) is invoked at milestones.
+/// once aggregated.  `progress` (optional) is invoked after each pool pass.
 [[nodiscard]] ShardStudyResult run_shard_study(const ShardStudyConfig& cfg, std::size_t index,
                                                std::size_t count,
                                                const StudyProgressFn& progress = {});
@@ -118,12 +119,12 @@ using StudyProgressFn = std::function<void(const std::string&, std::int64_t, std
 
 /// Runs shard `index` end to end and serializes its manifest to bytes —
 /// ARPB container bytes when `binary`, the pretty-printed JSON document
-/// otherwise.  These are the exact bytes a file-writing worker would have
-/// put on disk, which is what lets fleet workers (net/worker via
-/// tools/aropuf_shard) stream results over TCP and still merge
-/// bit-identically to a single-process run.  Resets process-wide telemetry
-/// state first (run record + metrics), so each call produces an honest
-/// per-shard manifest even when one process serves many jobs back to back.
+/// otherwise.  These are the exact bytes tools/aropuf_shard puts on disk,
+/// whether it ran the shard itself or a fleet worker (net/worker) streamed
+/// them over TCP, which is what lets every path merge bit-identically to a
+/// single-process run.  Resets process-wide telemetry state first (run
+/// record + metrics), so each call produces an honest per-shard manifest
+/// even when one process runs many shards back to back.
 /// Throws on study failure.
 [[nodiscard]] std::string run_shard_job(const ShardStudyConfig& cfg, int index, int count,
                                         const std::string& run_name, bool binary,

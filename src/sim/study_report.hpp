@@ -1,6 +1,6 @@
 // Derived reporting over a merged study aggregate: the study section and the
-// --check-single verification tools/aropuf_shard applies on every path
-// (local workers, remote workers, in-process).  It lives here rather than in
+// --check-single verification tools/aropuf_shard applies on both paths
+// (in-process, remote workers).  It lives here rather than in
 // the tool so it stays unit-testable.
 #pragma once
 

@@ -53,7 +53,7 @@ void reset_run_record();
 /// reset_run_record().  Modules that register provenance lazily on first use
 /// (e.g. the delay kernel's "kernel_backend" field) compare this against the
 /// generation they last announced under, so a process that serves many jobs
-/// back to back (fleet workers, --no-fork shard runs) re-registers into each
+/// back to back (fleet workers, in-process shard runs) re-registers into each
 /// fresh record instead of leaving later manifests at "unknown".
 [[nodiscard]] std::uint64_t run_record_generation() noexcept;
 

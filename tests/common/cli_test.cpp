@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -123,6 +124,15 @@ TEST(CliParserTest, RejectsBadValues) {
                       [](const std::string& value) { return value == "ok"; });
     Argv argv({"prog", "--pair", "bad"});
     EXPECT_EQ(parser.parse(argv.argc(), argv.argv()), ParseStatus::kError);
+  }
+  // Non-finite doubles, even under a bound every finite value passes.
+  for (const char* value : {"nan", "inf", "-inf"}) {
+    double timeout = 0.0;
+    Parser parser("prog", "test");
+    parser.opt_double("--timeout", &timeout, "SEC", "bound",
+                      -std::numeric_limits<double>::infinity());
+    Argv argv({"prog", "--timeout", value});
+    EXPECT_EQ(parser.parse(argv.argc(), argv.argv()), ParseStatus::kError) << value;
   }
 }
 

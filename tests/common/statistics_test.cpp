@@ -82,11 +82,13 @@ TEST(HistogramTest, BinsSamplesCorrectly) {
   h.add(0.15);
   h.add(0.15);
   h.add(0.95);
+  h.add(0.55, 4);  // four samples in one call
   EXPECT_EQ(h.count(0), 1U);
   EXPECT_EQ(h.count(1), 2U);
+  EXPECT_EQ(h.count(5), 4U);
   EXPECT_EQ(h.count(9), 1U);
-  EXPECT_EQ(h.total(), 4U);
-  EXPECT_DOUBLE_EQ(h.fraction(1), 0.5);
+  EXPECT_EQ(h.total(), 8U);
+  EXPECT_DOUBLE_EQ(h.fraction(1), 0.25);
 }
 
 TEST(HistogramTest, ClampsOutOfRange) {

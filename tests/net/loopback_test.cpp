@@ -435,8 +435,8 @@ std::string bound_address(const Listener& listener) {
 }
 
 TEST(LoopbackTest, LocalListenerBindsLoopbackAndListenBindsEveryInterface) {
-  // aropuf_shard's default mode serves only the workers it started, so its
-  // coordinator must not be reachable from other hosts; --listen opens it.
+  // A loopback-only listener is unreachable from other hosts (the tests'
+  // coordinators bind this way); aropuf_shard --listen opens every interface.
   const Listener local = Listener::listen_on(0, /*loopback_only=*/true);
   EXPECT_EQ(bound_address(local), "127.0.0.1");
   EXPECT_GT(local.port(), 0);

@@ -120,9 +120,10 @@ TEST(ShardStudyTest, ProgressCallbackReportsMonotonicCompletion) {
 }
 
 TEST(ShardStudyTest, BuildsEachDieOnceAndReusesItsOwnGoldenReads) {
-  // Per design, a shard builds its own chips for E2 and only the other
-  // chips for E3: every die once.  Its own chips' golden reads come from E2,
-  // so E3 evaluates only the chips it builds.
+  // Per design, one chip pass builds every die once and reads it fresh; the
+  // shard's own chips age through every checkpoint in the same task, so the
+  // golden read E3 pairs is the one E2 flips are measured against.  A pair
+  // pass follows: two pool passes per design.
   const ShardStudyConfig cfg = small_config();
   const auto chips = static_cast<std::uint64_t>(cfg.pop.chips);
   const auto checkpoints = static_cast<std::uint64_t>(cfg.checkpoints.size());
@@ -135,6 +136,7 @@ TEST(ShardStudyTest, BuildsEachDieOnceAndReusesItsOwnGoldenReads) {
     EXPECT_EQ(registry.counter("puf.evaluations").value(),
               2 * (own * (1 + checkpoints) + (chips - own)))
         << shards << " shards";
+    EXPECT_EQ(registry.counter("parallel.jobs").value(), 4u) << shards << " shards";
   }
 }
 

@@ -1,30 +1,26 @@
 // aropuf_shard: orchestrator for the sharded E2+E3 population study.
 //
 // The chip population splits into --shards seed-range shards (sim/shard_study).
-// One binary runs them four ways:
+// One binary runs them three ways:
 //
-//  * default — binds the ARPF coordinator (net/coordinator, DESIGN.md §11) on
-//    127.0.0.1 at an ephemeral port and starts --jobs copies of itself as
-//    local workers (--worker 127.0.0.1:PORT).  The coordinator dispatches,
-//    retries (--retries) and reassigns the jobs of workers that fall silent
-//    (--worker-timeout).  A local worker that disconnects while jobs remain
-//    — it crashed, or was dropped for a heartbeat timeout — is killed,
-//    reaped and replaced.
-//  * --listen PORT — the same coordinator on every interface, so remote
-//    workers can join; --jobs 0 means remote workers only.
+//  * default — run the shards one after another in this process, each on the
+//    process-wide thread pool.  A shard that throws ends the run; --resume
+//    then re-runs only the shards that are missing.
+//  * --listen PORT — bind the ARPF coordinator (net/coordinator, DESIGN.md
+//    §11) on every interface for remote --worker processes.  The coordinator
+//    dispatches, retries (--retries) and reassigns the jobs of workers that
+//    fall silent (--worker-timeout).
 //  * --worker HOST:PORT — serve shard jobs for a coordinator.  Every JOB
 //    carries the full study parameterization, so a worker needs no other
 //    configuration.
-//  * --no-fork — run the shards sequentially in this process.  Forced where
-//    sockets or fork are missing (Windows).
 //
-// Every path lands a shard the same way (run_study's `land`): persist the
-// manifest container into --out, decode it, and fold it into one
-// AggregateBuilder as it arrives.  --resume folds the shards whose manifest on disk still
-// validates (run name, shard coordinates, study config) and runs only the
-// rest; when nothing is missing no worker starts.  The merged manifest plus
-// the ECC/area study section derived from it land in
-// --out/merged.manifest.json.  Coordinator runs also write fleet_trace.json,
+// Both orchestrating paths land a shard the same way (run_study's `land`):
+// persist the manifest container into --out, decode it, and fold it into one
+// AggregateBuilder as it arrives.  --resume folds the shards whose manifest on
+// disk still validates (run name, shard coordinates, study config) and runs
+// only the rest; when nothing is missing no shard runs.  The merged manifest
+// plus the ECC/area study section derived from it land in
+// --out/merged.manifest.json.  --listen runs also write fleet_trace.json,
 // fleet_metrics.json and fleet_metrics.prom into --out, failed runs too.
 //
 // Exit codes: 0 success; 1 failed shards, fold errors, provenance conflicts
@@ -32,7 +28,6 @@
 // statistics differ from a single-process run — a determinism regression,
 // never acceptable).  Worker mode exits with the WorkerExit status.
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -42,9 +37,8 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <sstream>
+#include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -53,7 +47,6 @@
 #include "net/fleet_view.hpp"
 #include "net/socket.hpp"
 #include "net/worker.hpp"
-#include "self_exec.hpp"
 #include "sim/parallel.hpp"
 #include "sim/shard_study.hpp"
 #include "sim/study_report.hpp"
@@ -64,9 +57,8 @@
 #include "telemetry/progress.hpp"
 #include "telemetry/trace.hpp"
 
-#if defined(AROPUF_HAVE_FORK)
-#include <signal.h>
-#include <sys/wait.h>
+#if !defined(_WIN32)
+#include <unistd.h>
 #endif
 
 namespace {
@@ -84,38 +76,37 @@ struct Options {
 
   // Orchestration.
   int shards = 4;
-  int jobs = -1;         ///< local workers; -1 = min(shards, cores), 0 = remote only
-  int listen_port = -1;  ///< -1 = loopback coordinator for local workers only
+  int listen_port = -1;  ///< -1 = run the shards in this process
   std::string port_file;
   std::string out_dir = "shard-run";
   bool resume = false;
   int retries = 1;
   double worker_timeout_s = 60.0;
   double timeout_s = 0.0;  ///< whole run; 0 = none
-  bool no_fork = false;
   bool drop_raw = false;
   bool check_single = false;
   bool quiet = false;
+  int threads = 0;  ///< pool threads of this process; 0 = library default
 
   // Worker mode.
   std::string worker_spec;  ///< "HOST:PORT"; non-empty selects worker mode
   std::string worker_name;
-  int threads = 0;  ///< threads per worker; 0 = library default
   bool abort_first_job = false;  ///< test hook (hidden)
 };
 
+/// Parses "Y1,Y2,...": every comma-separated token, the last included, must
+/// be a finite number >= 0, and the list non-decreasing.
 bool parse_checkpoints(const std::string& csv, std::vector<double>* out) {
   std::vector<double> years;
-  std::istringstream in(csv);
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    if (token.empty()) return false;
-    char* end = nullptr;
-    const double y = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0' || y < 0.0) return false;
+  for (std::size_t begin = 0;;) {
+    const std::size_t comma = csv.find(',', begin);
+    double y = 0.0;
+    if (!cli::parse_double(csv.substr(begin, comma - begin), &y) || y < 0.0) return false;
     years.push_back(y);
+    if (comma == std::string::npos) break;
+    begin = comma + 1;
   }
-  if (years.empty() || !std::is_sorted(years.begin(), years.end())) return false;
+  if (!std::is_sorted(years.begin(), years.end())) return false;
   *out = std::move(years);
   return true;
 }
@@ -145,22 +136,22 @@ int parse_args(int argc, char** argv, Options* opt) {
                   [opt](const std::string& v) { return parse_checkpoints(v, &opt->checkpoints); })
       .opt_string("--run", &opt->run, "NAME", "run name in manifests (default shard_study)")
       .opt_int("--shards", &opt->shards, "K", "number of shards (default 4)", 1)
-      .opt_int("--jobs", &opt->jobs, "J",
-               "local workers (default min(K, cores); 0 = remote workers only, needs --listen)",
-               0)
       .opt_int("--listen", &opt->listen_port, "PORT",
-               "serve remote workers on every interface at PORT (0 = kernel-assigned)", 0)
+               "serve the shards to remote workers on every interface at PORT "
+               "(0 = kernel-assigned; default: run them in this process)",
+               0)
       .opt_string("--port-file", &opt->port_file, "PATH",
-                  "write the coordinator's bound port to PATH once listening")
+                  "write the coordinator's bound port to PATH once listening (--listen)")
       .opt_string("--out", &opt->out_dir, "DIR", "output directory (default shard-run)")
       .flag("--resume", &opt->resume, "fold shards whose manifest already validates; run the rest")
-      .opt_int("--retries", &opt->retries, "R", "retries per failed shard job (default 1)", 0)
+      .opt_int("--retries", &opt->retries, "R",
+               "retries per failed shard job (default 1; --listen)", 0)
       .opt_double("--worker-timeout", &opt->worker_timeout_s, "SEC",
-                  "reassign a silent busy worker's job after SEC seconds (default 60, 0 = never)",
+                  "reassign a silent busy worker's job after SEC seconds "
+                  "(default 60, 0 = never; --listen)",
                   0.0)
       .opt_double("--timeout", &opt->timeout_s, "SEC",
-                  "abort a coordinator run after SEC seconds (default: none)", 0.0)
-      .flag("--no-fork", &opt->no_fork, "run shards sequentially in this process")
+                  "abort a --listen run after SEC seconds (default: none)", 0.0)
       .opt_string("--format", &opt->format, "FMT",
                   "shard manifest transport: binary or json (default binary)")
       .flag("--drop-raw", &opt->drop_raw,
@@ -170,8 +161,8 @@ int parse_args(int argc, char** argv, Options* opt) {
       .opt_string("--worker", &opt->worker_spec, "HOST:PORT",
                   "worker mode: serve shard jobs for the coordinator at HOST:PORT")
       .opt_string("--name", &opt->worker_name, "NAME", "worker display name (default host:pid)")
-      .opt_int("--threads", &opt->threads, "T", "threads per worker (default: library default)",
-               1)
+      .opt_int("--threads", &opt->threads, "T",
+               "pool threads of this process or worker (default: library default)", 1)
       .with_env_help();
   // Deterministic killed-worker simulation for the e2e tests: hard-close the
   // connection on the first assigned job.  Parsed but kept out of --help.
@@ -194,18 +185,9 @@ int parse_args(int argc, char** argv, Options* opt) {
     return usage("--format must be binary or json");
   }
   if (opt->listen_port > 65535) return usage("--listen port out of range");
-  const bool listen = opt->listen_port >= 0;
-  if (!opt->worker_spec.empty() && (listen || opt->no_fork)) {
-    return usage("--worker cannot be combined with --listen or --no-fork");
+  if (!opt->worker_spec.empty() && opt->listen_port >= 0) {
+    return usage("--worker cannot be combined with --listen");
   }
-  if (listen && opt->no_fork) return usage("--listen cannot be combined with --no-fork");
-  if (opt->jobs == 0 && !listen) return usage("--jobs 0 needs --listen (remote workers only)");
-#if !defined(AROPUF_HAVE_FORK)
-  if (!opt->worker_spec.empty() || listen) {
-    return usage("fleet runs need POSIX sockets; this platform runs shards with --no-fork only");
-  }
-  opt->no_fork = true;
-#endif
   return 0;
 }
 
@@ -224,10 +206,10 @@ std::int64_t now_unix_ms() {
 }
 
 bool stdout_is_tty() {
-#if defined(AROPUF_HAVE_FORK)
+#if !defined(_WIN32)
   return ::isatty(STDOUT_FILENO) == 1;
 #else
-  return false;
+  return false;  // Windows has no coordinator (net/socket), so no HUD
 #endif
 }
 
@@ -244,13 +226,12 @@ std::string shard_manifest_path(const Options& opt, int shard) {
          (opt.format == "binary" ? ".manifest.bin" : ".manifest.json");
 }
 
-/// 16-hex-char fleet trace id: splitmix64 over seed ⊕ wall clock ⊕ pid, so
-/// concurrent runs from the same seed still get distinct timelines.
+/// 16-hex-char fleet trace id: splitmix64 over seed ⊕ wall clock ⊕ a
+/// random_device draw, so concurrent runs from the same seed still get
+/// distinct timelines.
 std::string make_trace_id(std::uint64_t seed) {
   std::uint64_t x = seed ^ static_cast<std::uint64_t>(now_unix_ms());
-#if defined(AROPUF_HAVE_FORK)
-  x ^= static_cast<std::uint64_t>(::getpid()) << 32;
-#endif
+  x ^= static_cast<std::uint64_t>(std::random_device{}()) << 32;
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
@@ -387,7 +368,8 @@ class FleetHud {
 /// written first (the bytes a shard leaves on disk for --resume and for
 /// inspection) so a failed run leaves evidence; a write failure is advisory,
 /// the in-memory fold is authoritative.  Throws when the manifest will not
-/// fold — the coordinator charges that to the job's retry budget.
+/// fold — an in-process run fails, a coordinator charges it to the job's
+/// retry budget.
 using LandShardFn =
     std::function<void(int shard, std::string bytes, const std::string& origin)>;
 
@@ -401,8 +383,6 @@ int run_worker_mode(const Options& opt) {
                  opt.worker_spec.c_str());
     return 2;
   }
-  if (opt.threads > 0) ParallelExecutor::set_global_thread_count(opt.threads);
-
   net::WorkerConfig config;
   config.host = host;
   config.port = port;
@@ -439,12 +419,11 @@ int run_worker_mode(const Options& opt) {
 
 // --- in-process shards -------------------------------------------------------
 
-/// Runs `todo` sequentially in this process.  run_shard_job resets the
-/// process-wide telemetry before each shard, so every shard still produces
-/// an honest per-shard manifest.
+/// Runs `todo` one shard after another in this process, each on the whole
+/// thread pool.  run_shard_job resets the process-wide telemetry before each
+/// shard, so every shard still produces an honest per-shard manifest.
 bool run_in_process(const Options& opt, const ShardStudyConfig& cfg, const std::vector<int>& todo,
                     int resumed, const LandShardFn& land) {
-  if (opt.threads > 0) ParallelExecutor::set_global_thread_count(opt.threads);
   const StudyProgress progress(opt.shards, resumed);
   int folded = 0;
   for (const int shard : todo) {
@@ -469,115 +448,10 @@ bool run_in_process(const Options& opt, const ShardStudyConfig& cfg, const std::
 
 // --- coordinator -------------------------------------------------------------
 
-#if defined(AROPUF_HAVE_FORK)
-/// The local workers of a coordinator run: copies of this binary serving
-/// the loopback coordinator, named "local-<n>".  Replacement rides on the
-/// coordinator's "disconnect" event, which also follows every heartbeat
-/// timeout; workers that die before they connect surface through the
-/// coordinator's stall timeout instead.  `narrate` logs each start (off
-/// under --quiet and while the HUD owns the terminal).
-class LocalWorkers {
- public:
-  LocalWorkers(std::string exe, const Options& opt, std::uint16_t port, int replacements,
-               bool narrate)
-      : exe_(std::move(exe)),
-        opt_(opt),
-        port_(port),
-        replacements_(replacements),
-        narrate_(narrate) {}
-
-  /// Starts `count` workers.  Returns false when one could not be started.
-  bool start(int count) {
-    for (int i = 0; i < count; ++i) {
-      if (!spawn()) return false;
-    }
-    return true;
-  }
-
-  /// Handles a coordinator "disconnect" event ("<worker>: <reason>").  A
-  /// local worker's connection is gone for good, so its process is killed
-  /// (it may be hung rather than dead) and reaped; while jobs remain a
-  /// replacement takes its place.  Throws when the last local worker is gone
-  /// and no replacement can start, which aborts Coordinator::run() instead
-  /// of waiting for workers that will never come.
-  void on_disconnect(const std::string& detail, bool jobs_remain) {
-    const auto it = live_.find(detail.substr(0, detail.find(": ")));
-    if (it == live_.end()) return;
-    reap(it->second, /*kill_first=*/true);
-    live_.erase(it);
-    if (!jobs_remain) return;
-    if (replacements_ > 0 && spawn()) {
-      --replacements_;
-      return;
-    }
-    if (live_.empty() && opt_.listen_port < 0) {
-      throw std::runtime_error("every local worker is gone and no replacement could start");
-    }
-  }
-
-  /// Handles a coordinator stall ("timeout" with no worker attached): reaps
-  /// the local workers that exited before they ever connected.  Throws when
-  /// none is left and no remote worker can join; a worker that cannot reach
-  /// the coordinator would fail the same way again, so it is not replaced.
-  void on_stall() {
-    for (auto it = live_.begin(); it != live_.end();) {
-      int status = 0;
-      const auto pid = static_cast<pid_t>(it->second);
-      it = ::waitpid(pid, &status, WNOHANG) == pid ? live_.erase(it) : std::next(it);
-    }
-    if (live_.empty() && opt_.listen_port < 0) {
-      throw std::runtime_error("every local worker exited before reaching the coordinator");
-    }
-  }
-
-  /// Reaps every worker still running, killing them first when `kill_first`
-  /// (a failed or timed-out run; after a clean run they exit on BYE).
-  void finish(bool kill_first) {
-    for (const auto& [name, pid] : live_) reap(pid, kill_first);
-    live_.clear();
-  }
-
- private:
-  bool spawn() {
-    const std::string name = "local-" + std::to_string(next_++);
-    std::vector<std::string> args = {exe_, "--worker", "127.0.0.1:" + std::to_string(port_),
-                                     "--name", name};
-    if (opt_.threads > 0) {
-      args.push_back("--threads");
-      args.push_back(std::to_string(opt_.threads));
-    }
-    const long pid = tools::spawn_process("aropuf_shard", std::move(args));
-    if (pid < 0) return false;
-    live_[name] = pid;
-    if (narrate_) {
-      std::printf("fleet: started local worker %s (pid %ld)\n", name.c_str(), pid);
-      std::fflush(stdout);
-    }
-    return true;
-  }
-
-  static void reap(long pid, bool kill_first) {
-    if (kill_first) ::kill(static_cast<pid_t>(pid), SIGKILL);
-    int status = 0;
-    while (::waitpid(static_cast<pid_t>(pid), &status, 0) < 0 && errno == EINTR) {
-    }
-  }
-
-  std::string exe_;
-  const Options& opt_;
-  std::uint16_t port_;
-  int replacements_;
-  bool narrate_;
-  int next_ = 0;
-  std::map<std::string, long> live_;  ///< worker name -> pid
-};
-#endif  // AROPUF_HAVE_FORK
-
-/// Runs `todo` through the ARPF coordinator: local workers it starts itself
-/// and, with --listen, remote ones.  Returns true when every job landed.
+/// Serves `todo` to the remote workers that join the ARPF coordinator at
+/// --listen.  Returns true when every job landed.
 bool run_coordinator(const Options& opt, const std::vector<int>& todo, int resumed,
-                     const LandShardFn& land, const char* argv0) {
-#if defined(AROPUF_HAVE_FORK)
+                     const LandShardFn& land) {
   // Observability plane: one trace session (buffer-only unless the operator
   // asked for a file via AROPUF_TRACE), one fleet-wide trace id stamped on
   // every JOB, and one FleetView folding everything the wire reports.
@@ -601,28 +475,19 @@ bool run_coordinator(const Options& opt, const std::vector<int>& todo, int resum
   config.job_template.format = opt.format;
   config.job_template.trace_id = trace_id;
 
-  const bool listen = opt.listen_port >= 0;
   net::Listener listener;
   try {
-    listener = net::Listener::listen_on(static_cast<std::uint16_t>(listen ? opt.listen_port : 0),
-                                        /*loopback_only=*/!listen);
+    listener = net::Listener::listen_on(static_cast<std::uint16_t>(opt.listen_port),
+                                        /*loopback_only=*/false);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "aropuf_shard: cannot listen: %s\n", e.what());
     return false;
   }
   const std::uint16_t port = listener.port();
-  const int hardware = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  const int local_jobs = std::min(static_cast<int>(todo.size()),
-                                  opt.jobs < 0 ? std::min(opt.shards, hardware) : opt.jobs);
-  LocalWorkers locals(tools::self_executable(argv0), opt, port,
-                      static_cast<int>(todo.size()) * (opt.retries + 1),
-                      /*narrate=*/!opt.quiet && !hud.enabled());
-  int remaining = static_cast<int>(todo.size());
 
   net::CoordinatorCallbacks callbacks;
   callbacks.on_result = [&](int shard, std::string bytes, const std::string& worker) {
     land(shard, std::move(bytes), "tcp://" + worker);
-    --remaining;
     view.note_result(shard, worker, now_unix_ms());
     if (hud.enabled()) {
       hud.render(view, /*force=*/true);
@@ -655,7 +520,6 @@ bool run_coordinator(const Options& opt, const std::vector<int>& todo, int resum
   };
   callbacks.on_event = [&](const std::string& event, int shard, const std::string& detail) {
     view.note_event(event, shard, detail, now_unix_ms());
-    if (event == "fail") --remaining;
     if (hud.enabled()) {
       hud.note_event(event, shard, detail);
       hud.render(view, /*force=*/true);
@@ -667,14 +531,12 @@ bool run_coordinator(const Options& opt, const std::vector<int>& todo, int resum
       }
       std::fflush(stdout);
     }
-    if (event == "disconnect") locals.on_disconnect(detail, remaining > 0);
-    if (event == "timeout" && shard < 0) locals.on_stall();
   };
 
   std::optional<net::Coordinator> coordinator;
   coordinator.emplace(std::move(listener), std::move(config), std::move(callbacks));
-  std::printf("aropuf_shard: coordinating %zu shard job(s) on %s:%u\n", todo.size(),
-              listen ? "0.0.0.0" : "127.0.0.1", static_cast<unsigned>(port));
+  std::printf("aropuf_shard: coordinating %zu shard job(s) on 0.0.0.0:%u\n", todo.size(),
+              static_cast<unsigned>(port));
   std::fflush(stdout);
   if (!opt.port_file.empty()) {
     // The port file is the rendezvous for scripted runs (--listen 0): written
@@ -689,18 +551,13 @@ bool run_coordinator(const Options& opt, const std::vector<int>& todo, int resum
   }
 
   net::FleetSummary summary;
-  if (locals.start(local_jobs)) {
-    try {
-      summary = coordinator->run();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "aropuf_shard: coordinator failed: %s\n", e.what());
-    }
+  try {
+    summary = coordinator->run();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "aropuf_shard: coordinator failed: %s\n", e.what());
   }
   hud.finish(view);
-  // Closing the listener first turns any worker still connecting into a
-  // refused connection, so every local worker is sure to exit.
   coordinator.reset();
-  locals.finish(/*kill_first=*/!summary.ok);
   std::printf(
       "aropuf_shard: %d/%zu job(s) done, %d failed, %d worker(s), %d reassignment(s)%s\n",
       summary.jobs_done, todo.size(), summary.jobs_failed, summary.workers_seen,
@@ -724,19 +581,11 @@ bool run_coordinator(const Options& opt, const std::vector<int>& todo, int resum
     std::fflush(stdout);
   }
   return summary.ok;
-#else
-  (void)opt;
-  (void)todo;
-  (void)resumed;
-  (void)land;
-  (void)argv0;
-  return false;
-#endif
 }
 
 // --- study -------------------------------------------------------------------
 
-int run_study(const Options& opt, const char* argv0) {
+int run_study(const Options& opt) {
   std::error_code mkdir_error;
   std::filesystem::create_directories(opt.out_dir, mkdir_error);
   if (mkdir_error) {
@@ -781,8 +630,8 @@ int run_study(const Options& opt, const char* argv0) {
   std::fflush(stdout);
 
   const int resumed = opt.shards - static_cast<int>(todo.size());
-  const bool ok = todo.empty() || (opt.no_fork ? run_in_process(opt, cfg, todo, resumed, land)
-                                               : run_coordinator(opt, todo, resumed, land, argv0));
+  const bool ok = todo.empty() || (opt.listen_port >= 0 ? run_coordinator(opt, todo, resumed, land)
+                                                        : run_in_process(opt, cfg, todo, resumed, land));
   if (!ok) {
     std::fprintf(stderr, "aropuf_shard: run failed; no aggregate manifest written\n");
     return 1;
@@ -837,12 +686,13 @@ int run_study(const Options& opt, const char* argv0) {
 int main(int argc, char** argv) {
   Options opt;
   if (const int rc = parse_args(argc, argv, &opt); rc != 0) return rc;
-  // The orchestrator and every worker profile themselves (AROPUF_PROF is
-  // inherited; AROPUF_PROF_RESOURCE supports a %p pid placeholder so
-  // workers don't clobber one timeline).  Worker "prof.*" metrics also
-  // travel home inside METRICS snapshots.
+  if (opt.threads > 0) ParallelExecutor::set_global_thread_count(opt.threads);
+  // The orchestrator and every worker profile themselves (AROPUF_PROF_RESOURCE
+  // supports a %p pid placeholder so workers on one host don't clobber one
+  // timeline).  Worker "prof.*" metrics also travel home inside METRICS
+  // snapshots.
   telemetry::start_process_profile();
-  const int rc = !opt.worker_spec.empty() ? run_worker_mode(opt) : run_study(opt, argv[0]);
+  const int rc = !opt.worker_spec.empty() ? run_worker_mode(opt) : run_study(opt);
   const bool prof_ok = telemetry::stop_process_profile();
   return rc != 0 ? rc : (prof_ok ? 0 : 1);
 }
