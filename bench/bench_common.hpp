@@ -20,7 +20,7 @@ namespace aropuf::bench {
 /// Knobs shared by every experiment binary.
 struct Options {
   int threads = 0;  ///< 0 = AROPUF_THREADS / hardware default
-  int chips = 0;    ///< 0 = the standard 40-chip population
+  int chips = 40;   ///< population size: --chips, else the bench's default
 };
 
 inline Options& options() {
@@ -29,17 +29,18 @@ inline Options& options() {
 }
 
 /// Parses --threads=N / --threads N (worker count for the Monte Carlo
-/// engine) and --chips=N / --chips N (population size override, used by the
-/// CI smoke run).  Unknown arguments are ignored so binaries stay drop-in.
+/// engine) and --chips=N / --chips N (population size; `default_chips` when
+/// absent).  Unknown arguments are ignored so binaries stay drop-in.
 /// Results are deterministic for a given population regardless of --threads.
-inline void parse_args(int argc, char** argv) {
+inline void parse_args(int argc, char** argv, int default_chips = 40) {
+  options().chips = default_chips;
   cli::Parser parser(argc > 0 ? argv[0] : "bench",
                      "ARO-PUF experiment bench (see EXPERIMENTS.md)");
   parser
       .opt_int("--threads", &options().threads, "N",
                "Monte Carlo worker threads (default: AROPUF_THREADS or hardware)", 1)
       .opt_int("--chips", &options().chips, "N",
-               "population size override (default: the standard 40-chip run)", 1)
+               "population size (default: " + std::to_string(default_chips) + " chips)", 1)
       .allow_unknown()
       .with_env_help();
   switch (parser.parse(argc, argv)) {
@@ -59,12 +60,14 @@ inline void parse_args(int argc, char** argv) {
 
 /// The reference population every E-bench uses (seed printed so results are
 /// traceable; see DESIGN.md §5 for the calibration behind the constants).
-/// --chips overrides the population size (the seed and per-chip streams are
-/// unchanged, so chips 0..N-1 are the same dies at any size).
+/// Its size is the one parse_args settled on, so the banner and the
+/// manifest's config.chips report the population the bench ran (the seed and
+/// per-chip streams do not depend on it: chips 0..N-1 are the same dies at
+/// any size).
 inline PopulationConfig standard_population() {
   PopulationConfig pop;
   pop.tech = TechnologyParams::cmos90();
-  pop.chips = options().chips > 0 ? options().chips : 40;
+  pop.chips = options().chips;
   pop.seed = 2014;
   return pop;
 }

@@ -11,13 +11,13 @@
 #include "ecc/code_search.hpp"
 
 int main(int argc, char** argv) {
-  aropuf::bench::parse_args(argc, argv);
+  // Screening is 16 reads per chip; a 25-chip default keeps the bench snappy.
+  aropuf::bench::parse_args(argc, argv, /*default_chips=*/25);
   using namespace aropuf;
   bench::banner("E10: stability screening (dark-bit masking)",
                 "extension — masked vs unmasked BER and ECC impact");
 
-  PopulationConfig pop = bench::standard_population();
-  pop.chips = 25;  // screening is 16 reads per chip; keep the bench snappy
+  const PopulationConfig pop = bench::standard_population();
 
   Table table("screening with 3 reads at 5 corners (nominal, hot, cold, low/high VDD)");
   table.set_header({"design", "years", "stable bits %", "unmasked BER %", "masked BER %"});

@@ -10,7 +10,7 @@
 #include "common/table.hpp"
 
 int main(int argc, char** argv) {
-  aropuf::bench::parse_args(argc, argv);
+  aropuf::bench::parse_args(argc, argv, /*default_chips=*/25);
   using namespace aropuf;
   bench::banner("E12: technology scaling (90/65/45 nm)",
                 "extension — headline metrics across nodes");
@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
        {TechnologyParams::cmos90(), TechnologyParams::cmos65(), TechnologyParams::cmos45()}) {
     PopulationConfig pop = bench::standard_population();
     pop.tech = tech;
-    pop.chips = 25;
     for (const auto& cfg : {PufConfig::conventional(), PufConfig::aro()}) {
       const double eol[] = {10.0};
       const auto aging = run_aging_series(pop, cfg, eol);

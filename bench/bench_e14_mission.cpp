@@ -11,13 +11,12 @@
 #include "sim/csv.hpp"
 
 int main(int argc, char** argv) {
-  aropuf::bench::parse_args(argc, argv);
+  aropuf::bench::parse_args(argc, argv, /*default_chips=*/25);
   using namespace aropuf;
   bench::banner("E14: automotive mission profile (15 years)",
                 "extension — mixed-temperature lifetime");
 
-  PopulationConfig pop = bench::standard_population();
-  pop.chips = 25;
+  const PopulationConfig pop = bench::standard_population();
   const double checkpoints[] = {1.0, 3.0, 5.0, 10.0, 15.0};
 
   const auto conv = run_mission(pop, PufConfig::conventional(),

@@ -10,137 +10,139 @@
 #include "sim/parallel.hpp"
 #include "telemetry/manifest.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 
 namespace aropuf {
 
 namespace {
 
-std::vector<RoPuf> build_population(const PopulationConfig& pop, const PufConfig& puf) {
-  const telemetry::TraceScope span("build_population", "scenario",
-                                   {{"chips", JsonValue(pop.chips)}});
-  telemetry::MetricsRegistry::global().counter("sim.chips_simulated").add(
-      static_cast<std::uint64_t>(pop.chips));
-  const RngFabric fabric(pop.seed);
-  return make_population(pop.tech, puf, pop.chips, fabric);
-}
-
 /// Evaluation indices: 0 is reserved for the golden (enrollment) read; later
 /// reads use distinct indices so their noise draws are independent.
 constexpr std::uint64_t kGoldenEval = 0;
 
-/// Enrolls every chip's golden response in parallel (each chip touches only
-/// its own slot and its own RNG streams).
-std::vector<BitVector> enroll_golden(const std::vector<RoPuf>& chips, OperatingPoint op) {
-  const telemetry::TraceScope span("enroll_golden", "scenario",
-                                   {{"chips", JsonValue(static_cast<std::uint64_t>(chips.size()))}});
-  return parallel_map_chips(chips.size(),
-                            [&](std::size_t c) { return chips[c].evaluate(op, kGoldenEval); });
+void require_checkpoints(std::span<const double> checkpoints) {
+  ARO_REQUIRE(!checkpoints.empty(), "need at least one checkpoint");
+  double previous_years = 0.0;
+  for (const double y : checkpoints) {
+    ARO_REQUIRE(y >= previous_years, "checkpoints must be non-negative and non-decreasing");
+    previous_years = y;
+  }
+}
+
+/// Runs `life(chip)` on every die of the population in one pool pass, one
+/// task per die, and returns the results in chip order.  Task c builds die c
+/// from the "chip"/c child fabric, the die make_population builds at index
+/// c, so every value depends only on the die's own streams.
+template <typename Life>
+auto map_lifetimes(const PopulationConfig& pop, const PufConfig& puf, Life&& life) {
+  ARO_REQUIRE(pop.chips >= 1, "population must have at least one chip");
+  telemetry::MetricsRegistry::global().counter("sim.chips_simulated").add(
+      static_cast<std::uint64_t>(pop.chips));
+  const RngFabric fabric(pop.seed);
+  return parallel_map_chips(static_cast<std::size_t>(pop.chips), [&](std::size_t c) {
+    RoPuf chip(pop.tech, puf, fabric.child("chip", static_cast<std::uint64_t>(c)));
+    return life(chip);
+  });
+}
+
+/// Column `j` of the per-chip rows, accumulated serially in chip order so
+/// the statistics are bit-identical at any thread count.
+RunningStats column_stats(const std::vector<std::vector<double>>& rows, std::size_t j) {
+  RunningStats stats;
+  for (const std::vector<double>& row : rows) stats.add(row[j]);
+  return stats;
+}
+
+AgingSeries flip_series(std::string label, std::span<const double> checkpoints,
+                        const std::vector<std::vector<double>>& flip_percent) {
+  AgingSeries series;
+  series.label = std::move(label);
+  for (std::size_t j = 0; j < checkpoints.size(); ++j) {
+    const RunningStats flips = column_stats(flip_percent, j);
+    series.years.push_back(checkpoints[j]);
+    series.mean_flip_percent.push_back(flips.mean());
+    series.max_flip_percent.push_back(flips.max());
+  }
+  return series;
 }
 
 }  // namespace
 
+std::vector<double> flip_walk(RoPuf& chip, const BitVector& golden,
+                              std::span<const double> checkpoints, const AgeStep& age) {
+  const OperatingPoint op = chip.nominal_op();
+  std::vector<double> flip_percent(checkpoints.size());
+  double previous_years = 0.0;
+  for (std::size_t j = 0; j < checkpoints.size(); ++j) {
+    if (age) {
+      age(chip, checkpoints[j] - previous_years);
+    } else {
+      chip.age_years(checkpoints[j] - previous_years);
+    }
+    previous_years = checkpoints[j];
+    flip_percent[j] = fractional_hamming_distance(golden, chip.evaluate(op, j + 1)) * 100.0;
+  }
+  return flip_percent;
+}
+
 FrequencySeries run_frequency_degradation(const PopulationConfig& pop, const PufConfig& puf,
                                           std::span<const double> checkpoints) {
-  ARO_REQUIRE(!checkpoints.empty(), "need at least one checkpoint");
+  require_checkpoints(checkpoints);
   const telemetry::StageTimer stage("E1.frequency_degradation[" + puf.label + "]");
-  auto chips = build_population(pop, puf);
-  const OperatingPoint op = nominal_operating_point(pop.tech);
+  // Each die reports its per-RO shifts at every checkpoint; the reduction
+  // runs serially in (chip, RO) order so the mean is bit-identical to a
+  // serial run at any thread count.
+  const auto shifts = map_lifetimes(pop, puf, [&](RoPuf& chip) {
+    const OperatingPoint op = chip.nominal_op();
+    const std::vector<double> fresh = chip.fresh_ro_frequencies(op);
+    std::vector<std::vector<double>> s(checkpoints.size());
+    double previous_years = 0.0;
+    for (std::size_t j = 0; j < checkpoints.size(); ++j) {
+      chip.age_years(checkpoints[j] - previous_years);
+      previous_years = checkpoints[j];
+      s[j] = chip.ro_frequencies(op);
+      for (std::size_t r = 0; r < s[j].size(); ++r) {
+        s[j][r] = (fresh[r] - s[j][r]) / fresh[r] * 100.0;
+      }
+    }
+    return s;
+  });
 
   FrequencySeries series;
   series.label = puf.label;
-  const auto fresh = parallel_map_chips(chips.size(),
-                                        [&](std::size_t c) { return chips[c].fresh_ro_frequencies(op); });
-  double previous_years = 0.0;
-  for (const double y : checkpoints) {
-    ARO_REQUIRE(y >= previous_years, "checkpoints must be non-decreasing");
-    const telemetry::TraceScope span("checkpoint", "scenario", {{"years", JsonValue(y)}});
-    // Each chip ages itself and reports its per-RO shifts; the reduction runs
-    // serially in (chip, RO) order so the mean is bit-identical to a serial
-    // run at any thread count.
-    const auto shifts = parallel_map_chips(chips.size(), [&](std::size_t c) {
-      chips[c].age_years(y - previous_years);
-      std::vector<double> s = chips[c].ro_frequencies(op);
-      for (std::size_t r = 0; r < s.size(); ++r) {
-        s[r] = (fresh[c][r] - s[r]) / fresh[c][r] * 100.0;
-      }
-      return s;
-    });
+  for (std::size_t j = 0; j < checkpoints.size(); ++j) {
     RunningStats shift;
     for (const auto& chip_shifts : shifts) {
-      for (const double s : chip_shifts) shift.add(s);
+      for (const double s : chip_shifts[j]) shift.add(s);
     }
-    previous_years = y;
-    series.years.push_back(y);
+    series.years.push_back(checkpoints[j]);
     series.mean_freq_shift_percent.push_back(shift.mean());
   }
   return series;
 }
 
-namespace {
-
-/// Shared E2-style checkpoint walk: ages every chip to each checkpoint in
-/// parallel, compares against its golden response, and reduces the per-chip
-/// flip percentages in chip order (bit-identical at any thread count).
-template <typename Series>
-void run_flip_checkpoints(std::vector<RoPuf>& chips, const std::vector<BitVector>& golden,
-                          OperatingPoint op, std::span<const double> checkpoints,
-                          Series& series) {
-  double previous_years = 0.0;
-  std::uint64_t eval_index = 1;
-  for (const double y : checkpoints) {
-    ARO_REQUIRE(y >= previous_years, "checkpoints must be non-decreasing");
-    const telemetry::TraceScope span("checkpoint", "scenario", {{"years", JsonValue(y)}});
-    const auto flip_percent = parallel_map_chips(chips.size(), [&](std::size_t c) {
-      chips[c].age_years(y - previous_years);
-      return fractional_hamming_distance(golden[c], chips[c].evaluate(op, eval_index)) * 100.0;
-    });
-    RunningStats flips;
-    for (const double f : flip_percent) flips.add(f);
-    previous_years = y;
-    ++eval_index;
-    series.years.push_back(y);
-    series.mean_flip_percent.push_back(flips.mean());
-    series.max_flip_percent.push_back(flips.max());
-  }
-}
-
-}  // namespace
-
 AgingSeries run_aging_series(const PopulationConfig& pop, const PufConfig& puf,
                              std::span<const double> checkpoints) {
-  ARO_REQUIRE(!checkpoints.empty(), "need at least one checkpoint");
+  require_checkpoints(checkpoints);
   const telemetry::StageTimer stage("E2.aging_series[" + puf.label + "]");
-  auto chips = build_population(pop, puf);
-  const OperatingPoint op = nominal_operating_point(pop.tech);
-
-  const std::vector<BitVector> golden = enroll_golden(chips, op);
-
-  AgingSeries series;
-  series.label = puf.label;
-  run_flip_checkpoints(chips, golden, op, checkpoints, series);
-  return series;
+  return flip_series(puf.label, checkpoints, map_lifetimes(pop, puf, [&](RoPuf& chip) {
+                       const BitVector golden = chip.evaluate(chip.nominal_op(), kGoldenEval);
+                       return flip_walk(chip, golden, checkpoints);
+                     }));
 }
 
 AgingSeries run_aging_series_with_burnin(const PopulationConfig& pop, const PufConfig& puf,
                                          const StressProfile& burnin_profile,
                                          Seconds burnin_duration,
                                          std::span<const double> checkpoints) {
-  ARO_REQUIRE(!checkpoints.empty(), "need at least one checkpoint");
+  require_checkpoints(checkpoints);
   ARO_REQUIRE(burnin_duration >= 0.0, "burn-in duration must be non-negative");
   const telemetry::StageTimer stage("E8.aging_series_burnin[" + puf.label + "]");
-  auto chips = build_population(pop, puf);
-  const OperatingPoint op = nominal_operating_point(pop.tech);
-
-  const auto golden = parallel_map_chips(chips.size(), [&](std::size_t c) {
-    chips[c].age(burnin_profile, burnin_duration);
-    return chips[c].evaluate(op, kGoldenEval);
-  });
-
-  AgingSeries series;
-  series.label = puf.label + " +burn-in";
-  run_flip_checkpoints(chips, golden, op, checkpoints, series);
-  return series;
+  return flip_series(puf.label + " +burn-in", checkpoints,
+                     map_lifetimes(pop, puf, [&](RoPuf& chip) {
+                       chip.age(burnin_profile, burnin_duration);
+                       const BitVector golden = chip.evaluate(chip.nominal_op(), kGoldenEval);
+                       return flip_walk(chip, golden, checkpoints);
+                     }));
 }
 
 Seconds MissionProfile::cycle_duration() const {
@@ -180,55 +182,36 @@ MissionProfile MissionProfile::automotive(bool gated) {
   return m;
 }
 
-MissionResult run_mission(const PopulationConfig& pop, const PufConfig& puf,
-                          const MissionProfile& mission,
-                          std::span<const double> year_checkpoints) {
+AgingSeries run_mission(const PopulationConfig& pop, const PufConfig& puf,
+                        const MissionProfile& mission,
+                        std::span<const double> year_checkpoints) {
   mission.validate();
-  ARO_REQUIRE(!year_checkpoints.empty(), "need at least one checkpoint");
+  require_checkpoints(year_checkpoints);
   const telemetry::StageTimer stage("E14.mission[" + mission.name + "]");
-  auto chips = build_population(pop, puf);
-  const OperatingPoint op = nominal_operating_point(pop.tech);
-
-  const std::vector<BitVector> golden = enroll_golden(chips, op);
-
-  MissionResult result;
-  result.label = puf.label + " @ " + mission.name;
   // Cycles are daily-scale and lifetimes are years: advancing phase-by-phase
   // for every cycle would be millions of steps.  The aging state is additive
   // in (effective stress seconds, cycles), so we apply each phase once per
   // checkpoint interval with its total accumulated duration — exact for the
   // power-law models used here up to the documented stress-temperature
   // piecewise approximation.
-  double previous_years = 0.0;
-  std::uint64_t eval_index = 1;
-  for (const double y : year_checkpoints) {
-    ARO_REQUIRE(y >= previous_years, "checkpoints must be non-decreasing");
-    const telemetry::TraceScope span("checkpoint", "scenario", {{"years", JsonValue(y)}});
-    const Seconds interval = years(y - previous_years);
-    const double cycles_in_interval = interval / mission.cycle_duration();
-    const auto flip_percent = parallel_map_chips(chips.size(), [&](std::size_t c) {
-      for (const auto& phase : mission.cycle) {
-        chips[c].age(phase.profile, phase.duration * cycles_in_interval);
-      }
-      return fractional_hamming_distance(golden[c], chips[c].evaluate(op, eval_index)) * 100.0;
-    });
-    RunningStats flips;
-    for (const double f : flip_percent) flips.add(f);
-    previous_years = y;
-    ++eval_index;
-    result.years.push_back(y);
-    result.mean_flip_percent.push_back(flips.mean());
-    result.max_flip_percent.push_back(flips.max());
-  }
-  return result;
+  const Seconds cycle_duration = mission.cycle_duration();
+  const AgeStep phases = [&](RoPuf& chip, double interval_years) {
+    const double cycles_in_interval = years(interval_years) / cycle_duration;
+    for (const auto& phase : mission.cycle) {
+      chip.age(phase.profile, phase.duration * cycles_in_interval);
+    }
+  };
+  return flip_series(puf.label + " @ " + mission.name, year_checkpoints,
+                     map_lifetimes(pop, puf, [&](RoPuf& chip) {
+                       const BitVector golden = chip.evaluate(chip.nominal_op(), kGoldenEval);
+                       return flip_walk(chip, golden, year_checkpoints, phases);
+                     }));
 }
 
 MaskingStudyResult run_masking_study(const PopulationConfig& pop, const PufConfig& puf,
                                      bool full_corners, int screening_repeats, double years) {
   ARO_REQUIRE(years >= 0.0, "years must be non-negative");
   const telemetry::StageTimer stage("E10.masking_study[" + puf.label + "]");
-  auto chips = build_population(pop, puf);
-  const OperatingPoint op = nominal_operating_point(pop.tech);
   const ScreeningConfig screening = full_corners
                                         ? ScreeningConfig::full_corners(pop.tech,
                                                                         screening_repeats)
@@ -240,8 +223,8 @@ MaskingStudyResult run_masking_study(const PopulationConfig& pop, const PufConfi
     double masked_ber = 0.0;
     bool has_masked = false;
   };
-  const auto outcomes = parallel_map_chips(chips.size(), [&](std::size_t c) {
-    auto& chip = chips[c];
+  const auto outcomes = map_lifetimes(pop, puf, [&](RoPuf& chip) {
+    const OperatingPoint op = chip.nominal_op();
     const StabilityMask mask = screen_stability(chip, screening);
     const BitVector golden = chip.evaluate(op, kGoldenEval);
     chip.age_years(years);
@@ -273,11 +256,10 @@ MaskingStudyResult run_masking_study(const PopulationConfig& pop, const PufConfi
 }
 
 UniquenessExperimentResult run_uniqueness(const PopulationConfig& pop, const PufConfig& puf) {
+  ARO_REQUIRE(pop.chips >= 2, "uniqueness needs at least two chips");
   const telemetry::StageTimer stage("E3.uniqueness[" + puf.label + "]");
-  auto chips = build_population(pop, puf);
-  const OperatingPoint op = nominal_operating_point(pop.tech);
-
-  const std::vector<BitVector> responses = enroll_golden(chips, op);
+  const std::vector<BitVector> responses = map_lifetimes(
+      pop, puf, [](RoPuf& chip) { return chip.evaluate(chip.nominal_op(), kGoldenEval); });
 
   UniquenessExperimentResult result;
   result.label = puf.label;
@@ -296,30 +278,30 @@ std::vector<SweepPoint> run_environment_sweep(const PopulationConfig& pop, const
   const telemetry::StageTimer stage(
       std::string(sweep_temperature ? "E5.temperature_sweep[" : "E6.voltage_sweep[") +
       puf.label + "]");
-  auto chips = build_population(pop, puf);
   const OperatingPoint nominal = nominal_operating_point(pop.tech);
+  std::vector<OperatingPoint> corners(points.size(), nominal);
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    if (sweep_temperature) {
+      corners[k].temp = celsius(points[k]);
+    } else {
+      corners[k].vdd = points[k];
+    }
+  }
 
-  const std::vector<BitVector> golden = enroll_golden(chips, nominal);
+  const auto ber_percent = map_lifetimes(pop, puf, [&](RoPuf& chip) {
+    const BitVector golden = chip.evaluate(nominal, kGoldenEval);
+    std::vector<double> ber(corners.size());
+    for (std::size_t k = 0; k < corners.size(); ++k) {
+      ber[k] = fractional_hamming_distance(golden, chip.evaluate(corners[k], k + 1)) * 100.0;
+    }
+    return ber;
+  });
 
   std::vector<SweepPoint> sweep;
   sweep.reserve(points.size());
-  std::uint64_t eval_index = 1;
-  for (const double value : points) {
-    const telemetry::TraceScope span("sweep_point", "scenario", {{"value", JsonValue(value)}});
-    OperatingPoint op = nominal;
-    if (sweep_temperature) {
-      op.temp = celsius(value);
-    } else {
-      op.vdd = value;
-    }
-    const auto ber_percent = parallel_map_chips(chips.size(), [&](std::size_t c) {
-      const BitVector response = chips[c].evaluate(op, eval_index);
-      return fractional_hamming_distance(golden[c], response) * 100.0;
-    });
-    RunningStats ber;
-    for (const double b : ber_percent) ber.add(b);
-    ++eval_index;
-    sweep.push_back(SweepPoint{value, ber.mean(), ber.max()});
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    const RunningStats ber = column_stats(ber_percent, k);
+    sweep.push_back(SweepPoint{points[k], ber.mean(), ber.max()});
   }
   return sweep;
 }
@@ -340,10 +322,8 @@ BerStats measure_eol_ber(const PopulationConfig& pop, const PufConfig& puf,
                          double years_of_use) {
   ARO_REQUIRE(years_of_use >= 0.0, "years must be non-negative");
   const telemetry::StageTimer stage("eol_ber[" + puf.label + "]");
-  auto chips = build_population(pop, puf);
-  const OperatingPoint op = nominal_operating_point(pop.tech);
-  const auto chip_ber = parallel_map_chips(chips.size(), [&](std::size_t c) {
-    auto& chip = chips[c];
+  const auto chip_ber = map_lifetimes(pop, puf, [&](RoPuf& chip) {
+    const OperatingPoint op = chip.nominal_op();
     const BitVector golden = chip.evaluate(op, kGoldenEval);
     chip.age_years(years_of_use);
     const BitVector aged = chip.evaluate(op, 1);

@@ -4,8 +4,16 @@
 // Each function is a pure Monte Carlo routine: (config, seed) → results.
 // Bench binaries format the results as the paper's tables; calibration
 // tests assert the headline bands on the same numbers.
+//
+// Every population scenario runs one pool task per die for the die's whole
+// life: the task builds die c (the die make_population builds at index c),
+// takes its golden read, walks it through every checkpoint or sweep point
+// and returns the per-chip values, which the caller reduces serially in
+// chip order.  No population stays resident, and inputs are checked before
+// any die is built.
 #pragma once
 
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,6 +25,8 @@
 #include "puf/puf_config.hpp"
 
 namespace aropuf {
+
+class RoPuf;
 
 /// Shared Monte Carlo population setup.
 struct PopulationConfig {
@@ -49,6 +59,18 @@ struct AgingSeries {
 
 [[nodiscard]] AgingSeries run_aging_series(const PopulationConfig& pop, const PufConfig& puf,
                                            std::span<const double> checkpoints);
+
+/// Advances a die by `years` of use, the step between two checkpoints.
+using AgeStep = std::function<void(RoPuf& chip, double years)>;
+
+/// One die's E2 walk, shared by E2, E8, E14 and the shard study: ages `chip`
+/// to each checkpoint in turn (through `age`, or RoPuf::age_years when `age`
+/// is empty) and re-reads it at the nominal corner with evaluation index 1,
+/// 2, ...  Returns the percent of bits flipped against `golden` at each
+/// checkpoint.
+[[nodiscard]] std::vector<double> flip_walk(RoPuf& chip, const BitVector& golden,
+                                            std::span<const double> checkpoints,
+                                            const AgeStep& age = {});
 
 /// Burn-in variant: chips are pre-aged under `burnin_profile` for
 /// `burnin_duration` *before* the golden response is enrolled.  The t^(1/6)
@@ -116,7 +138,6 @@ struct EccComparison {
 [[nodiscard]] EccComparison run_ecc_comparison_from_simulation(
     const PopulationConfig& pop, const CodeSearchConstraints& constraints, double years = 10.0);
 
-/// End-of-life per-chip flip-fraction statistics for one design.
 // --- E14: mission profiles -----------------------------------------------------
 
 /// One phase of a mission: a stress profile applied for a duration.
@@ -140,18 +161,11 @@ struct MissionProfile {
   static MissionProfile automotive(bool gated);
 };
 
-struct MissionResult {
-  std::string label;
-  std::vector<double> years;
-  std::vector<double> mean_flip_percent;
-  std::vector<double> max_flip_percent;
-};
-
 /// Ages the population through repeated mission cycles, evaluating flips at
 /// each checkpoint (golden enrolled fresh, nominal corner).
-[[nodiscard]] MissionResult run_mission(const PopulationConfig& pop, const PufConfig& puf,
-                                        const MissionProfile& mission,
-                                        std::span<const double> year_checkpoints);
+[[nodiscard]] AgingSeries run_mission(const PopulationConfig& pop, const PufConfig& puf,
+                                      const MissionProfile& mission,
+                                      std::span<const double> year_checkpoints);
 
 // --- E10: stability screening (dark-bit masking) -----------------------------
 
@@ -182,6 +196,7 @@ struct BerStats {
   [[nodiscard]] double p95() const { return mean + 1.645 * stddev; }
 };
 
+/// End-of-life per-chip flip-fraction statistics for one design.
 [[nodiscard]] BerStats measure_eol_ber(const PopulationConfig& pop, const PufConfig& puf,
                                        double years_of_use);
 

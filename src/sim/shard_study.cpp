@@ -138,8 +138,7 @@ ShardStudyResult run_shard_study(const ShardStudyConfig& cfg, std::size_t index,
 
     // Chip pass: one task per die of the population, which chip i always
     // draws from fabric.child("chip", i).  Each die gives E3 its fresh
-    // (eval 0) read; the shard's own chips then age through every checkpoint
-    // as run_flip_checkpoints does (incremental aging, eval 1, 2, ...), so
+    // (eval 0) read; the shard's own chips then take E2's flip_walk, so
     // every value depends only on the chip's own streams.
     {
       const telemetry::StageTimer stage("shard.chips[" + key + "]");
@@ -148,13 +147,8 @@ ShardStudyResult run_shard_study(const ShardStudyConfig& cfg, std::size_t index,
         RoPuf chip(cfg.pop.tech, puf, fabric.child("chip", static_cast<std::uint64_t>(i)));
         golden[i] = chip.evaluate(op, /*eval_index=*/0);
         if (i < chip_lo || i >= chip_hi) return;
-        double previous_years = 0.0;
-        for (std::size_t j = 0; j < years; ++j) {
-          chip.age_years(cfg.checkpoints[j] - previous_years);
-          previous_years = cfg.checkpoints[j];
-          series[j].values[i - chip_lo] =
-              fractional_hamming_distance(golden[i], chip.evaluate(op, j + 1)) * 100.0;
-        }
+        const std::vector<double> flips = flip_walk(chip, golden[i], cfg.checkpoints);
+        for (std::size_t j = 0; j < years; ++j) series[j].values[i - chip_lo] = flips[j];
         series[years].values[i - chip_lo] = golden[i].ones_fraction();
       });
     }

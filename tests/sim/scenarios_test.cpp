@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <stdexcept>
+#include <vector>
+
+#include "telemetry/metrics.hpp"
 
 namespace aropuf {
 namespace {
@@ -12,6 +17,54 @@ PopulationConfig small_pop() {
   pop.chips = 8;
   pop.seed = 7;
   return pop;
+}
+
+/// One population entry point.  Those that walk checkpoints take them from
+/// the call; the sweeps bring three points of their own.
+struct Scenario {
+  const char* name;
+  bool walks_checkpoints;
+  std::uint64_t pool_passes;
+  std::function<void(const PopulationConfig&, std::span<const double>)> run;
+};
+
+std::vector<Scenario> all_scenarios() {
+  static const double temps[] = {-20.0, 25.0, 85.0};
+  static const double vdds[] = {1.08, 1.2, 1.32};
+  const PufConfig puf = PufConfig::aro(64);
+  StressProfile oven = StressProfile::conventional_always_on();
+  oven.stress_temperature = celsius(125.0);
+  using Points = std::span<const double>;
+  return {
+      {"E1", true, 1,
+       [=](const PopulationConfig& pop, Points cp) {
+         (void)run_frequency_degradation(pop, puf, cp);
+       }},
+      {"E2", true, 1,
+       [=](const PopulationConfig& pop, Points cp) { (void)run_aging_series(pop, puf, cp); }},
+      {"E8", true, 1,
+       [=](const PopulationConfig& pop, Points cp) {
+         (void)run_aging_series_with_burnin(pop, puf, oven, years(1.0 / 12.0), cp);
+       }},
+      {"E14", true, 1,
+       [=](const PopulationConfig& pop, Points cp) {
+         (void)run_mission(pop, puf, MissionProfile::automotive(true), cp);
+       }},
+      {"E5", false, 1,
+       [=](const PopulationConfig& pop, Points) { (void)run_temperature_sweep(pop, puf, temps); }},
+      {"E6", false, 1,
+       [=](const PopulationConfig& pop, Points) { (void)run_voltage_sweep(pop, puf, vdds); }},
+      {"E10", false, 1,
+       [=](const PopulationConfig& pop, Points) {
+         (void)run_masking_study(pop, puf, /*full_corners=*/true, 3, 10.0);
+       }},
+      {"EOL", false, 1,
+       [=](const PopulationConfig& pop, Points) { (void)measure_eol_ber(pop, puf, 10.0); }},
+      // One pass builds and reads the dies, one maps the pairs and one
+      // counts each bit position's ones.
+      {"E3", false, 3,
+       [=](const PopulationConfig& pop, Points) { (void)run_uniqueness(pop, puf); }},
+  };
 }
 
 TEST(ScenariosTest, FrequencyDegradationShape) {
@@ -37,11 +90,55 @@ TEST(ScenariosTest, AgingSeriesMonotoneAndOrdered) {
 }
 
 TEST(ScenariosTest, CheckpointsMustBeSorted) {
-  const double bad[] = {5.0, 1.0};
-  EXPECT_THROW(run_aging_series(small_pop(), PufConfig::aro(64), bad), std::invalid_argument);
-  const double empty[] = {1.0};
+  // Bad checkpoints are rejected before any die is built or read.
+  auto& registry = telemetry::MetricsRegistry::global();
+  const double unsorted[] = {5.0, 1.0};
+  const double negative[] = {-1.0};
+  for (const Scenario& scenario : all_scenarios()) {
+    if (!scenario.walks_checkpoints) continue;
+    for (const std::span<const double> bad :
+         {std::span<const double>(unsorted), std::span<const double>(negative)}) {
+      const std::uint64_t chips = registry.counter("sim.chips_simulated").value();
+      const std::uint64_t evaluations = registry.counter("puf.evaluations").value();
+      EXPECT_THROW(scenario.run(small_pop(), bad), std::invalid_argument) << scenario.name;
+      EXPECT_EQ(registry.counter("sim.chips_simulated").value(), chips) << scenario.name;
+      EXPECT_EQ(registry.counter("puf.evaluations").value(), evaluations) << scenario.name;
+    }
+  }
+  const double one[] = {1.0};
   EXPECT_NO_THROW(run_aging_series(small_pop(), PufConfig::aro(64),
-                                   std::span<const double>(empty, 1)));
+                                   std::span<const double>(one, 1)));
+}
+
+TEST(ScenariosTest, PopulationNeedsAChip) {
+  const double checkpoints[] = {1.0};
+  for (const int chips : {0, -1}) {
+    PopulationConfig pop = small_pop();
+    pop.chips = chips;
+    for (const Scenario& scenario : all_scenarios()) {
+      EXPECT_THROW(scenario.run(pop, checkpoints), std::invalid_argument)
+          << scenario.name << " with " << chips << " chips";
+    }
+    EXPECT_THROW((void)run_ecc_comparison_from_simulation(pop, CodeSearchConstraints{}),
+                 std::invalid_argument)
+        << chips << " chips";
+  }
+}
+
+TEST(ScenariosTest, EachScenarioWalksEveryDieInOnePoolPass) {
+  // Each die lives its whole life in one pool task, so the pass count does
+  // not grow with the checkpoints or sweep points.
+  auto& registry = telemetry::MetricsRegistry::global();
+  const PopulationConfig pop = small_pop();
+  const double checkpoints[] = {1.0, 5.0, 10.0};
+  for (const Scenario& scenario : all_scenarios()) {
+    registry.reset();
+    scenario.run(pop, checkpoints);
+    EXPECT_EQ(registry.counter("parallel.jobs").value(), scenario.pool_passes) << scenario.name;
+    EXPECT_EQ(registry.counter("sim.chips_simulated").value(),
+              static_cast<std::uint64_t>(pop.chips))
+        << scenario.name;
+  }
 }
 
 TEST(ScenariosTest, UniquenessOutputsAllMetrics) {
