@@ -162,7 +162,7 @@ struct JobMsg {
   int shards = 1;                   ///< total shard count
   int chips = 0;                    ///< total chip population
   std::uint64_t seed = 0;           ///< master RNG seed
-  std::vector<double> checkpoints;  ///< aging years, non-decreasing
+  std::vector<double> checkpoints;  ///< aging years, strictly increasing
   std::string run;                  ///< run name echoed into the manifest
   std::string format;               ///< "binary" or "json" result transport
   int attempt = 1;                  ///< 1-based dispatch attempt (telemetry)

@@ -45,6 +45,21 @@ RoPuf::RoPuf(const TechnologyParams& tech, PufConfig config, RngFabric fabric)
   soa_ = RoArraySoA::from_oscillators(ros_);
 }
 
+RoPuf::RoPuf(const RoPuf& die, PufConfig config)
+    : tech_(die.tech_),
+      config_(std::move(config)),
+      fabric_(die.fabric_),
+      aging_(die.aging_),
+      counter_(*tech_, config_.measurement_window),
+      ros_(die.ros_),
+      soa_(die.soa_) {
+  config_.validate();
+  ARO_REQUIRE(config_.num_ros == die.config_.num_ros && config_.stages == die.config_.stages &&
+                  config_.array_width == die.config_.array_width,
+              "another design of a die needs its num_ros, stages and array_width");
+  pairs_ = make_pairs(config_.pairing, config_.num_ros, config_.challenge_seed);
+}
+
 std::vector<double> RoPuf::ro_frequencies(OperatingPoint op) const {
   std::vector<double> freqs(ros_.size());
   if (delay_backend() == DelayBackend::kReference) {
@@ -117,12 +132,12 @@ void RoPuf::age(const StressProfile& profile, Seconds duration) {
   }
   // One batched kernel pass yields every RO's current frequency at the
   // stress condition; each RO then advances with its own value — the same
-  // number apply_stress(aging, profile, duration) would compute itself.
+  // number apply_stress(aging, profile, duration) would compute itself —
+  // through one step whose profile-only factors are computed once per die.
   const std::vector<double> freqs =
       ro_frequencies(OperatingPoint{tech_->vdd_nominal, profile.stress_temperature});
-  for (std::size_t i = 0; i < ros_.size(); ++i) {
-    ros_[i].apply_stress(aging_, profile, duration, freqs[i]);
-  }
+  AgingStep step(aging_, profile, duration);
+  for (std::size_t i = 0; i < ros_.size(); ++i) ros_[i].apply_stress(step, freqs[i]);
 }
 
 void RoPuf::reset_aging() {

@@ -34,6 +34,16 @@ class RoPuf {
   /// different chips of the same design.
   RoPuf(const TechnologyParams& tech, PufConfig config, RngFabric fabric);
 
+  /// The same die read as another design: copies `die`'s RO array (aging
+  /// state included), its SoA snapshot, fabric and aging model, and takes
+  /// the pairing, measurement window and stress profile from `config`.  A
+  /// fresh `die` gives, bit for bit, the die a fresh build of `config` from
+  /// the same fabric gives; an aged one gives that build aged through the
+  /// same phases.  Throws std::invalid_argument unless `config` has `die`'s
+  /// num_ros, stages and array_width, the fields that decide the silicon.
+  /// A copy costs a few percent of a build.
+  RoPuf(const RoPuf& die, PufConfig config);
+
   /// Measured response (counter-based, with noise).  `eval_index`
   /// distinguishes repeated evaluations: the same index replays the same
   /// noise (reproducibility); increment it to model re-measurement.

@@ -12,7 +12,10 @@
 // different seeds get independent fields.  Each anchor costs a hash plus
 // log/sqrt/cos, and an RO array reuses the same few anchors in every
 // position's 7x7 window, so evaluate() draws the anchors a set of positions
-// touches once, into a grid, and sums every window from it.
+// touches once, into a grid, and sums every window from it.  The 49 kernel
+// weights of a window and their norm depend on the position and the
+// correlation length only, never on the die, so each thread keeps the last
+// array's weights and every later die of the same layout reuses them.
 #pragma once
 
 #include <cstdint>
@@ -39,19 +42,20 @@ class SpatialField {
   /// Field values at every point of `points` into `out` (same length); each
   /// marginally N(0, sigma^2).  The anchors of all the points' kernel windows
   /// are drawn once; out[i] depends only on points[i], never on the other
-  /// points, so any batch gives the bits a one-point call gives.
+  /// points, so any batch gives the bits a one-point call gives.  The
+  /// windows' weights come from a per-thread memo of the last batch, keyed
+  /// on the correlation length and the exact points; the memo only skips
+  /// recomputing them, so it never changes a bit.
   void evaluate(std::span<const Position> points, std::span<double> out) const;
 
-  /// Field value at `p`: evaluate() of the one point.
+  /// Field value at `p`: evaluate() of the one point, which bypasses the
+  /// memo.
   [[nodiscard]] double operator()(Position p) const;
 
   [[nodiscard]] double sigma() const noexcept { return sigma_; }
   [[nodiscard]] double correlation_length() const noexcept { return lambda_; }
 
  private:
-  /// Deterministic standard-normal anchor value at grid cell (ix, iy).
-  [[nodiscard]] double anchor(std::int64_t ix, std::int64_t iy) const noexcept;
-
   double sigma_;
   double lambda_;
   std::uint64_t seed_;

@@ -209,7 +209,9 @@ TEST(DelayBackendTest, SetBackendReturnsEffectiveBackend) {
 }
 
 TEST(DelayBackendTest, SimdAvailableImpliesSimdCompiled) {
-  if (simd_available()) EXPECT_TRUE(simd_compiled());
+  if (simd_available()) {
+    EXPECT_TRUE(simd_compiled());
+  }
 }
 
 TEST(DelayBackendTest, ResetSelectsBestAvailableBackend) {

@@ -3,6 +3,7 @@
 // that make that true.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -103,18 +104,46 @@ TEST(DeterminismTest, ScenarioResultsAreBitExactAcrossRuns) {
   EXPECT_DOUBLE_EQ(u1.aliasing.stddev(), u2.aliasing.stddev());
 }
 
+/// Bit patterns of a device's fields, for exact comparison.
+std::array<std::uint64_t, 5> device_bits(const Transistor& t) {
+  return {static_cast<std::uint64_t>(t.type == DeviceType::kPmos ? 1 : 0),
+          std::bit_cast<std::uint64_t>(t.vth_fresh), std::bit_cast<std::uint64_t>(t.vth_tempco),
+          std::bit_cast<std::uint64_t>(t.nbti_sensitivity),
+          std::bit_cast<std::uint64_t>(t.hci_sensitivity)};
+}
+
 TEST(DeterminismTest, DesignsShareSiliconUnderSameFabric) {
   // The conventional vs ARO comparison is paired: built from the same chip
   // fabric, the two designs' RO arrays carry identical process variation
-  // (only pairing and stress differ), so fresh noiseless frequencies match.
-  const TechnologyParams tech = TechnologyParams::cmos90();
+  // (only pairing and stress differ), device for device and bit for bit.
+  // The shard study relies on it: it builds each die once and reads it as
+  // both designs.
   const RngFabric fabric(31);
-  const RoPuf conv(tech, PufConfig::conventional(64), fabric.child("chip", 2));
-  const RoPuf aro(tech, PufConfig::aro(64), fabric.child("chip", 2));
-  const auto op = conv.nominal_op();
-  for (std::size_t i = 0; i < conv.oscillators().size(); ++i) {
-    EXPECT_DOUBLE_EQ(conv.oscillators()[i].fresh_frequency(op),
-                     aro.oscillators()[i].fresh_frequency(op));
+  for (const TechnologyParams& tech :
+       {TechnologyParams::cmos90(), TechnologyParams::cmos65(), TechnologyParams::cmos45()}) {
+    SCOPED_TRACE(tech.name);
+    const RoPuf conv(tech, PufConfig::conventional(), fabric.child("chip", 2));
+    const RoPuf aro(tech, PufConfig::aro(), fabric.child("chip", 2));
+    ASSERT_EQ(conv.oscillators().size(), 256U);
+    ASSERT_EQ(aro.oscillators().size(), 256U);
+    std::size_t devices = 0;
+    for (std::size_t i = 0; i < conv.oscillators().size(); ++i) {
+      const RingOscillator& a = conv.oscillators()[i];
+      const RingOscillator& b = aro.oscillators()[i];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.position().x),
+                std::bit_cast<std::uint64_t>(b.position().x));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.position().y),
+                std::bit_cast<std::uint64_t>(b.position().y));
+      ASSERT_EQ(a.stages().size(), b.stages().size());
+      for (std::size_t s = 0; s < a.stages().size(); ++s) {
+        EXPECT_EQ(device_bits(a.stages()[s].pmos), device_bits(b.stages()[s].pmos))
+            << "RO " << i << " stage " << s;
+        EXPECT_EQ(device_bits(a.stages()[s].nmos), device_bits(b.stages()[s].nmos))
+            << "RO " << i << " stage " << s;
+        devices += 2;
+      }
+    }
+    EXPECT_EQ(devices, 256U * 13U * 2U);
   }
 }
 

@@ -345,7 +345,7 @@ TEST(LoopbackTest, RejectedResultRoutesThroughRetryBudget) {
 
   std::atomic<int> results_seen{0};
   CoordinatorCallbacks callbacks;
-  callbacks.on_result = [&](int, std::string bytes, const std::string&) {
+  callbacks.on_result = [&](int, std::string, const std::string&) {
     if (results_seen.fetch_add(1) == 0) {
       throw std::runtime_error("synthetic fold rejection");
     }

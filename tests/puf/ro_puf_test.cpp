@@ -2,12 +2,63 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "common/statistics.hpp"
 
 namespace aropuf {
 namespace {
+
+/// Bitwise equality (EXPECT_DOUBLE_EQ would accept 4 ULPs).
+void expect_same_bits(double a, double b, const char* what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b)) << what;
+}
+
+void expect_same_device(const Transistor& a, const Transistor& b) {
+  EXPECT_EQ(a.type, b.type);
+  expect_same_bits(a.vth_fresh, b.vth_fresh, "vth_fresh");
+  expect_same_bits(a.vth_tempco, b.vth_tempco, "vth_tempco");
+  expect_same_bits(a.nbti_sensitivity, b.nbti_sensitivity, "nbti_sensitivity");
+  expect_same_bits(a.hci_sensitivity, b.hci_sensitivity, "hci_sensitivity");
+}
+
+/// Two dies are the same PUF: every device and aging state bit for bit, the
+/// same pairs, and the same measured responses at evaluation indices 0..3.
+void expect_same_puf(const RoPuf& a, const RoPuf& b) {
+  ASSERT_EQ(a.oscillators().size(), b.oscillators().size());
+  for (std::size_t i = 0; i < a.oscillators().size(); ++i) {
+    const RingOscillator& ra = a.oscillators()[i];
+    const RingOscillator& rb = b.oscillators()[i];
+    ASSERT_EQ(ra.num_stages(), rb.num_stages());
+    for (std::size_t s = 0; s < ra.stages().size(); ++s) {
+      expect_same_device(ra.stages()[s].pmos, rb.stages()[s].pmos);
+      expect_same_device(ra.stages()[s].nmos, rb.stages()[s].nmos);
+    }
+    expect_same_bits(ra.stress().elapsed, rb.stress().elapsed, "elapsed");
+    expect_same_bits(ra.stress().nbti_effective, rb.stress().nbti_effective, "nbti_effective");
+    expect_same_bits(ra.stress().switching_cycles, rb.stress().switching_cycles,
+                     "switching_cycles");
+    expect_same_bits(ra.aging_shifts().nbti, rb.aging_shifts().nbti, "nbti shift");
+    expect_same_bits(ra.aging_shifts().hci, rb.aging_shifts().hci, "hci shift");
+  }
+  EXPECT_EQ(a.pairs(), b.pairs());
+  const auto op = a.nominal_op();
+  for (std::uint64_t k = 0; k < 4; ++k) EXPECT_EQ(a.evaluate(op, k), b.evaluate(op, k)) << k;
+}
+
+/// A third design on the same silicon: a random challenge pairing with its
+/// own seed, read through another measurement window.
+PufConfig challenge_config() {
+  PufConfig c = PufConfig::aro();
+  c.label = "challenge";
+  c.pairing = PairingStrategy::kRandomChallenge;
+  c.challenge_seed = 0x5eed;
+  c.measurement_window = 50e-6;
+  return c;
+}
 
 class RoPufTest : public ::testing::Test {
  protected:
@@ -162,6 +213,48 @@ TEST_F(RoPufTest, MakePopulationProducesDistinctChips) {
 
 TEST_F(RoPufTest, MakePopulationRejectsEmpty) {
   EXPECT_THROW(make_population(tech_, PufConfig::aro(64), 0, fabric_), std::invalid_argument);
+}
+
+TEST_F(RoPufTest, RedesignedDieEqualsFreshBuildOfTheOtherDesign) {
+  const std::pair<PufConfig, PufConfig> cases[] = {
+      {PufConfig::conventional(), PufConfig::aro()},
+      {PufConfig::aro(), PufConfig::conventional()},
+      {PufConfig::conventional(), challenge_config()},
+  };
+  for (const auto& [from, to] : cases) {
+    SCOPED_TRACE(from.label + " -> " + to.label);
+    const RoPuf die = make_chip(3, from);
+    const RoPuf redesigned(die, to);
+    EXPECT_EQ(redesigned.config().label, to.label);
+    EXPECT_EQ(redesigned.config().lifetime_profile.name, to.lifetime_profile.name);
+    expect_same_puf(redesigned, make_chip(3, to));
+  }
+}
+
+TEST_F(RoPufTest, RedesignedAgedDieCarriesItsAging) {
+  // The copy keeps the aging the die took under its first design, then ages
+  // under the new design's profile.
+  RoPuf conventional = make_chip(4, PufConfig::conventional());
+  conventional.age_years(3.0);
+  RoPuf redesigned(conventional, PufConfig::aro());
+  RoPuf fresh = make_chip(4, PufConfig::aro());
+  fresh.age(PufConfig::conventional().lifetime_profile, years(3.0));
+  expect_same_puf(redesigned, fresh);
+  redesigned.age_years(2.0);
+  fresh.age_years(2.0);
+  expect_same_puf(redesigned, fresh);
+}
+
+TEST_F(RoPufTest, RedesignRejectsAnotherGeometry) {
+  const RoPuf die = make_chip(0, PufConfig::aro());
+  EXPECT_THROW((void)RoPuf(die, PufConfig::aro(128)), std::invalid_argument);
+  EXPECT_THROW((void)RoPuf(die, PufConfig::aro(256, 11)), std::invalid_argument);
+  PufConfig wide = PufConfig::aro();
+  wide.array_width = 32;
+  EXPECT_THROW((void)RoPuf(die, wide), std::invalid_argument);
+  PufConfig no_window = PufConfig::aro();
+  no_window.measurement_window = 0.0;
+  EXPECT_THROW((void)RoPuf(die, no_window), std::invalid_argument);
 }
 
 TEST_F(RoPufTest, CopiedChipSharesTechnologySafely) {

@@ -95,7 +95,7 @@ struct Options {
 };
 
 /// Parses "Y1,Y2,...": every comma-separated token, the last included, must
-/// be a finite number >= 0, and the list non-decreasing.
+/// be a finite number >= 0, and the list strictly increasing.
 bool parse_checkpoints(const std::string& csv, std::vector<double>* out) {
   std::vector<double> years;
   for (std::size_t begin = 0;;) {
@@ -106,7 +106,10 @@ bool parse_checkpoints(const std::string& csv, std::vector<double>* out) {
     if (comma == std::string::npos) break;
     begin = comma + 1;
   }
-  if (!std::is_sorted(years.begin(), years.end())) return false;
+  // Strictly increasing: equal neighbours would name one series twice.
+  if (std::adjacent_find(years.begin(), years.end(), std::greater_equal<>()) != years.end()) {
+    return false;
+  }
   *out = std::move(years);
   return true;
 }
@@ -132,7 +135,7 @@ int parse_args(int argc, char** argv, Options* opt) {
   parser
       .opt_int("--chips", &opt->chips, "N", "total chip population (default 40)", 2)
       .opt_uint64("--seed", &opt->seed, "S", "master RNG seed (default 2014)")
-      .opt_custom("--checkpoints", "CSV", "aging years, non-decreasing (default 1,2,5,10)",
+      .opt_custom("--checkpoints", "CSV", "aging years, strictly increasing (default 1,2,5,10)",
                   [opt](const std::string& v) { return parse_checkpoints(v, &opt->checkpoints); })
       .opt_string("--run", &opt->run, "NAME", "run name in manifests (default shard_study)")
       .opt_int("--shards", &opt->shards, "K", "number of shards (default 4)", 1)
