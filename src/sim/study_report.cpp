@@ -14,8 +14,7 @@ namespace aropuf {
 JsonValue build_study_section(const JsonValue& merged, const ShardStudyConfig& cfg) {
   JsonValue::Object study;
   const double final_year = cfg.checkpoints.back();
-  char year_buf[32];
-  std::snprintf(year_buf, sizeof year_buf, "%g", final_year);
+  const std::string final_suffix = checkpoint_series_suffix(final_year);
   study["final_year"] = JsonValue(final_year);
 
   const JsonValue& samples = merged.at("results").at("samples");
@@ -27,7 +26,7 @@ JsonValue build_study_section(const JsonValue& merged, const ShardStudyConfig& c
   for (int d = 0; d < 2; ++d) {
     const std::string key = design_keys[d];
     JsonValue::Object entry;
-    const std::string e2_name = "e2." + key + ".flip_percent.y" + year_buf;
+    const std::string e2_name = "e2." + key + ".flip_percent." + final_suffix;
     if (samples.contains(e2_name)) {
       const JsonValue& s = samples.at(e2_name);
       BerStats ber;
