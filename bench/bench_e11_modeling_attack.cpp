@@ -5,6 +5,7 @@
 // partial order whose transitive closure predicts unseen challenges.  This
 // bench reproduces the learnability curve on a simulated 256-RO chip.
 #include <iostream>
+#include <vector>
 
 #include "attack/order_attack.hpp"
 #include "bench_common.hpp"
@@ -22,6 +23,8 @@ int main(int argc, char** argv) {
   cfg.pairing = PairingStrategy::kRandomChallenge;
   const RoPuf chip(tech, cfg, RngFabric(2014).child("chip", 0));
   const OperatingPoint op = chip.nominal_op();
+  // Every RO's true frequency at the corner, from one kernel pass.
+  const std::vector<double> freqs = chip.ro_frequencies(op);
   const FrequencyCounter counter(tech, cfg.measurement_window);
   const int n = cfg.num_ros;
 
@@ -39,8 +42,8 @@ int main(int argc, char** argv) {
         const auto p = attack.predict(a, b);
         if (!p.has_value()) continue;
         ++predicted;
-        const bool truth = chip.oscillators()[static_cast<std::size_t>(a)].frequency(op) >
-                           chip.oscillators()[static_cast<std::size_t>(b)].frequency(op);
+        const bool truth =
+            freqs[static_cast<std::size_t>(a)] > freqs[static_cast<std::size_t>(b)];
         if (*p == truth) ++correct;
       }
     }
@@ -53,8 +56,8 @@ int main(int argc, char** argv) {
     int b = static_cast<int>(challenge_rng.bounded(static_cast<std::uint64_t>(n - 1)));
     if (b >= a) ++b;
     Xoshiro256 noise(challenge_rng());
-    const auto ca = counter.measure(chip.oscillators()[static_cast<std::size_t>(a)], op, noise);
-    const auto cb = counter.measure(chip.oscillators()[static_cast<std::size_t>(b)], op, noise);
+    const auto ca = counter.measure_frequency(freqs[static_cast<std::size_t>(a)], noise);
+    const auto cb = counter.measure_frequency(freqs[static_cast<std::size_t>(b)], noise);
     attack.observe(a, b, compare_counts(ca, cb));
     if (crp == next_report) {
       const auto [predicted, correct] = evaluate_attack();

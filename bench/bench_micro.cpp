@@ -73,30 +73,34 @@ void BM_RoFrequency(benchmark::State& state) {
 }
 BENCHMARK(BM_RoFrequency)->Arg(5)->Arg(13)->Arg(31);
 
-/// Kernel-level benchmark: frequency evaluation of one 256-RO chip through
-/// each delay backend.  The reference row walks RingOscillator::frequency
-/// per RO; batched/simd rows run one compute_frequencies pass over the SoA.
-/// All rows produce bit-identical frequencies (tests enforce it), so they
-/// differ only in time — this is the per-backend speedup record for the
-/// delay kernel itself, independent of construction cost.
+/// Kernel-level benchmark: one pass of each delay kernel over a fresh 256-RO
+/// die's SoA, called through detail::, so each row times its own kernel
+/// whichever one the CPU dispatches to.  Both give the per-RO walk's bits
+/// (tests enforce it), so they differ only in time — the per-kernel record
+/// for the delay kernel itself, independent of construction cost.
 void BM_KernelFrequencies(benchmark::State& state, DelayBackend backend) {
   if (backend == DelayBackend::kSimd && !simd_available()) {
     state.SkipWithError("AVX2 kernel not available in this build/CPU");
     return;
   }
+  auto* kernel = &detail::frequencies_batched;
+#if defined(AROPUF_SIMD_ENABLED)
+  if (backend == DelayBackend::kSimd) kernel = &detail::frequencies_avx2;
+#endif
   const RoPuf chip(tech(), PufConfig::aro(256), RngFabric(7).child("chip", 0));
+  const RoArraySoA soa = RoArraySoA::from_oscillators(chip.oscillators());
+  const std::vector<AgingShifts> shifts(chip.oscillators().size());
+  std::vector<double> freqs(shifts.size());
   const auto op = chip.nominal_op();
-  const DelayBackend previous = delay_backend();
-  set_delay_backend(backend);
   const telemetry::CounterReader counters;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(chip.ro_frequencies(op));
+    kernel(soa, chip.technology(), op, shifts, freqs);
+    benchmark::DoNotOptimize(freqs.data());
+    benchmark::ClobberMemory();
   }
   attach_hw_counters(state, counters);
-  set_delay_backend(previous);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 256);
 }
-BENCHMARK_CAPTURE(BM_KernelFrequencies, reference, DelayBackend::kReference);
 BENCHMARK_CAPTURE(BM_KernelFrequencies, batched, DelayBackend::kBatched);
 BENCHMARK_CAPTURE(BM_KernelFrequencies, simd, DelayBackend::kSimd);
 
@@ -293,35 +297,6 @@ BENCHMARK(BM_AgingSeries200)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
-
-/// Single-thread E2 run per delay backend: the end-to-end record behind the
-/// README speedup table (reference = the pre-kernel per-RO path).
-void BM_AgingSeriesBackend(benchmark::State& state, DelayBackend backend) {
-  if (backend == DelayBackend::kSimd && !simd_available()) {
-    state.SkipWithError("AVX2 kernel not available in this build/CPU");
-    return;
-  }
-  const int previous_threads = aropuf::ParallelExecutor::global().thread_count();
-  aropuf::ParallelExecutor::set_global_thread_count(1);
-  const DelayBackend previous = delay_backend();
-  set_delay_backend(backend);
-  PopulationConfig pop;
-  pop.tech = tech();
-  pop.chips = 200;
-  pop.seed = 2014;
-  const double checkpoints[] = {10.0};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_aging_series(pop, PufConfig::aro(), checkpoints));
-  }
-  set_delay_backend(previous);
-  aropuf::ParallelExecutor::set_global_thread_count(previous_threads);
-}
-BENCHMARK_CAPTURE(BM_AgingSeriesBackend, reference, DelayBackend::kReference)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_AgingSeriesBackend, batched, DelayBackend::kBatched)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_AgingSeriesBackend, simd, DelayBackend::kSimd)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_MakePopulation(benchmark::State& state) {
   const PufConfig cfg = PufConfig::aro();

@@ -112,6 +112,9 @@ fi
 # gtest suites cover the same invariants in-process).
 if command -v python3 >/dev/null 2>&1; then
   SCRIPT_DIR=$(dirname "$0")
+  # The merged manifest's shards[] rows come from workers that reset their
+  # run record per job; each must still record its pool size.
+  python3 "$SCRIPT_DIR/validate_manifest.py" --aggregate "$OUT/merged.manifest.json"
   python3 "$SCRIPT_DIR/validate_manifest.py" --trace "$OUT/fleet_trace.json"
   python3 "$SCRIPT_DIR/validate_manifest.py" --fleet-metrics "$OUT/fleet_metrics.json"
   # One trace_id, spans from the coordinator AND both worker processes, and

@@ -18,6 +18,12 @@ sample values out of the JSON document) validate with --binary: the framing
 is struct-decoded and cross-checked against the embedded metadata, and the
 metadata document itself must pass the run-manifest schema.
 
+A shard ran on its process's thread pool, so a shard manifest (one with the
+"shard" descriptor, JSON or --binary) and every shards[] row of an
+--aggregate manifest must record threads >= 1 (the pool size is a process
+field that survives each job's run-record reset).  Other manifests keep
+threads >= 0: a bench that never starts the pool records the default 0.
+
 --diff-stats refuses to compare a kept-raw aggregate against a dropped-raw
 one: their statistics can match while their payloads differ by design, so a
 silent pass would hide a policy regression.  Pass --ignore-raw-policy for
@@ -73,7 +79,7 @@ MANIFEST_KEYS = {
     and isinstance(v.get("simd_compiled"), bool),
     "config": lambda v: isinstance(v, dict),
     "threads": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "kernel_backend": lambda v: v in ("reference", "batched", "simd", "unknown"),
+    "kernel_backend": lambda v: v in ("batched", "simd", "unknown"),
     "stages": lambda v: isinstance(v, list),
     "metrics": lambda v: isinstance(v, dict) and isinstance(v.get("counters"), dict)
     and isinstance(v.get("gauges"), dict) and isinstance(v.get("histograms"), dict),
@@ -171,6 +177,10 @@ def validate_manifest(path: Path) -> list[str]:
     return validate_manifest_doc(doc, path)
 
 
+def pool_threads_ok(value) -> bool:
+    return isinstance(value, (int, float)) and value >= 1
+
+
 def validate_manifest_doc(doc, path: Path) -> list[str]:
     if not isinstance(doc, dict):
         return [fail(path, "top level must be a JSON object")]
@@ -180,6 +190,10 @@ def validate_manifest_doc(doc, path: Path) -> list[str]:
             problems.append(fail(path, f"missing required key '{key}'"))
         elif not ok(doc[key]):
             problems.append(fail(path, f"key '{key}' has invalid value {doc[key]!r}"))
+    if (isinstance(doc.get("shard"), dict) and "threads" in doc
+            and not pool_threads_ok(doc["threads"])):
+        problems.append(fail(path, f"shard manifest records threads {doc['threads']!r} "
+                                   "(its pool has at least 1)"))
     for i, stage in enumerate(doc.get("stages", [])):
         if not isinstance(stage, dict):
             problems.append(fail(path, f"stages[{i}] is not an object"))
@@ -261,6 +275,9 @@ def validate_aggregate(path: Path) -> list[str]:
         for key in SHARD_ROW_KEYS:
             if key not in row:
                 problems.append(fail(path, f"shards[{i}] missing '{key}'"))
+        if "threads" in row and not pool_threads_ok(row["threads"]):
+            problems.append(fail(path, f"shards[{i}] records threads {row['threads']!r} "
+                                       "(its pool has at least 1)"))
         if isinstance(row.get("chip_lo"), (int, float)) and isinstance(
                 row.get("chip_hi"), (int, float)):
             ranges.append((row["chip_lo"], row["chip_hi"]))

@@ -1,6 +1,5 @@
 #include "circuit/delay_kernel.hpp"
 
-#include <atomic>
 #include <cstdint>
 
 #include "common/check.hpp"
@@ -13,36 +12,26 @@ namespace aropuf {
 
 namespace {
 
-/// kSimd requests degrade to kBatched when the AVX2 kernel is absent, so the
-/// stored backend is always executable.
-DelayBackend clamp_to_available(DelayBackend backend) noexcept {
-  if (backend == DelayBackend::kSimd && !simd_available()) return DelayBackend::kBatched;
-  return backend;
-}
-
-/// Provenance: run manifests must name the backend that *actually* computed
-/// the numbers, not the one that was requested.
-void announce_backend(DelayBackend backend) {
-  telemetry::set_runtime_field("kernel_backend", JsonValue(to_string(backend)));
-  ARO_LOG_DEBUG("kernel", "delay kernel backend selected",
-                {"backend", JsonValue(to_string(backend))});
-}
-
-std::atomic<DelayBackend>& backend_state() noexcept {
-  static std::atomic<DelayBackend> state{clamp_to_available(DelayBackend::kSimd)};
-  return state;
-}
-
 /// Batch-granular kernel instruments: two relaxed adds per compute call
-/// (never per RO — a batch covers a whole chip's array).
+/// (never per RO — a batch covers a whole chip's array).  Built on the
+/// process's first batch, which also records the kernel that runs as a
+/// manifest process field: the CPU picks it, so it holds for the whole
+/// process and survives every reset_run_record().
 struct KernelTelemetry {
   telemetry::Counter& batches;
   telemetry::Counter& ro_evals;
 
   static KernelTelemetry& get() {
-    auto& reg = telemetry::MetricsRegistry::global();
-    static KernelTelemetry t{reg.counter("kernel.batches"), reg.counter("kernel.ro_evals")};
+    static KernelTelemetry t = make();
     return t;
+  }
+
+  static KernelTelemetry make() {
+    const char* backend = to_string(delay_backend());
+    telemetry::set_process_field("kernel_backend", JsonValue(backend));
+    ARO_LOG_DEBUG("kernel", "delay kernel backend selected", {"backend", JsonValue(backend)});
+    auto& reg = telemetry::MetricsRegistry::global();
+    return KernelTelemetry{reg.counter("kernel.batches"), reg.counter("kernel.ro_evals")};
   }
 };
 
@@ -50,23 +39,15 @@ struct KernelTelemetry {
 
 const char* to_string(DelayBackend backend) noexcept {
   switch (backend) {
-    case DelayBackend::kReference: return "reference";
     case DelayBackend::kBatched: return "batched";
     case DelayBackend::kSimd: return "simd";
   }
   return "unknown";
 }
 
-DelayBackend delay_backend() noexcept { return backend_state().load(std::memory_order_relaxed); }
-
-DelayBackend set_delay_backend(DelayBackend backend) noexcept {
-  const DelayBackend effective = clamp_to_available(backend);
-  backend_state().store(effective, std::memory_order_relaxed);
-  announce_backend(effective);
-  return effective;
+DelayBackend delay_backend() noexcept {
+  return simd_available() ? DelayBackend::kSimd : DelayBackend::kBatched;
 }
-
-void reset_delay_backend() noexcept { (void)set_delay_backend(DelayBackend::kSimd); }
 
 bool simd_compiled() noexcept {
 #if defined(AROPUF_SIMD_ENABLED)
@@ -121,7 +102,7 @@ void frequencies_batched(const RoArraySoA& soa, const TechnologyParams& tech, Op
               "need one AgingShifts per RO");
   ARO_REQUIRE(frequencies.size() == static_cast<std::size_t>(soa.num_ros),
               "output span must have one slot per RO");
-  // Hoisted once per (tech, op): same association as the per-edge reference
+  // Hoisted once per (tech, op): same association as the per-edge walk's
   // expression, so hoisting changes cost, not bits.
   const double dtemp = op.temp - tech.temp_nominal;
   const double scale = edge_scale(tech, op);
@@ -133,7 +114,7 @@ void frequencies_batched(const RoArraySoA& soa, const TechnologyParams& tech, Op
     const double hci_shift = shifts[ro].hci;
     const std::size_t base = ro * stages;
     // Serial stage-order reduction: keeps floating-point accumulation order
-    // identical to the reference path (RingOscillator::frequency_with_shifts).
+    // identical to the per-RO walk (RingOscillator::frequency_with_shifts).
     double half_period = 0.0;
     for (std::size_t s = 0; s < stages; ++s) {
       const std::size_t i = base + s;
@@ -155,27 +136,11 @@ void frequencies_batched(const RoArraySoA& soa, const TechnologyParams& tech, Op
 
 void compute_frequencies(const RoArraySoA& soa, const TechnologyParams& tech, OperatingPoint op,
                          std::span<const AgingShifts> shifts, std::span<double> frequencies) {
-  {
-    KernelTelemetry& telem = KernelTelemetry::get();
-    telem.batches.add(1);
-    telem.ro_evals.add(static_cast<std::uint64_t>(soa.num_ros));
-    // The manifest field must reflect the backend that ran, so register it
-    // on the first batch of every run-record generation (later
-    // set_delay_backend calls keep it current).  Re-checking the generation
-    // matters when one process produces many manifests — fleet workers and
-    // in-process shard runs reset the run record between jobs, and a
-    // process-lifetime announce would leave every manifest after the first
-    // at "unknown".  Racing threads at a generation edge re-announce the
-    // same value, which is harmless.
-    static std::atomic<std::uint64_t> announced_generation{0};
-    const std::uint64_t generation = telemetry::run_record_generation();
-    if (announced_generation.load(std::memory_order_relaxed) != generation) {
-      announce_backend(delay_backend());
-      announced_generation.store(generation, std::memory_order_relaxed);
-    }
-  }
+  KernelTelemetry& telem = KernelTelemetry::get();
+  telem.batches.add(1);
+  telem.ro_evals.add(static_cast<std::uint64_t>(soa.num_ros));
 #if defined(AROPUF_SIMD_ENABLED)
-  if (delay_backend() == DelayBackend::kSimd && simd_available()) {
+  if (delay_backend() == DelayBackend::kSimd) {
     detail::frequencies_avx2(soa, tech, op, shifts, frequencies);
     return;
   }

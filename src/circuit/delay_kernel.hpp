@@ -1,22 +1,23 @@
 // Batched structure-of-arrays delay/aging kernel — the vectorizable hot path
 // under every E1–E14 Monte Carlo experiment.
 //
-// The reference path (RingOscillator::frequency) walks one RO at a time
+// The per-RO walk (RingOscillator::frequency) evaluates one RO at a time
 // through DelayModel, paying one mobility pow() per *edge* and touching
-// devices through the array-of-structs Stage layout.  This kernel evaluates
-// ALL ring oscillators of a chip in one pass over contiguous per-device
-// arrays (fresh Vth, temperature coefficient, aging sensitivity), with the
-// operating-point-dependent prefactor hoisted out of the loop — halving the
-// libm pow() count, the dominant cost — and a memory layout the compiler can
-// auto-vectorize.  An explicit AVX2 path (built whenever the compiler accepts
-// -mavx2, runtime CPU dispatch, scalar fallback) vectorizes the Vth/overdrive
-// assembly.
+// devices through the array-of-structs Stage layout.  It stays in the
+// library as the oracle the kernels are tested against; no production path
+// takes it.  This kernel evaluates ALL ring oscillators of a chip in one pass
+// over contiguous per-device arrays (fresh Vth, temperature coefficient,
+// aging sensitivity), with the operating-point-dependent prefactor hoisted
+// out of the loop — halving the libm pow() count, the dominant cost — and a
+// memory layout the compiler can auto-vectorize.  An explicit AVX2 path
+// (built whenever the compiler accepts -mavx2, runtime CPU dispatch, scalar
+// fallback) vectorizes the Vth/overdrive assembly.
 //
 // Bit-identity contract (enforced by tests/circuit/delay_kernel_test.cpp and
-// tests/sim/kernel_equivalence_test.cpp): every backend — reference, batched,
-// and SIMD — produces the SAME bits for every frequency, so pair comparisons
-// see the exact same values and every experiment result is independent of the
-// selected backend.  This holds by construction:
+// tests/sim/kernel_equivalence_test.cpp): both kernels, batched and SIMD,
+// produce the SAME bits for every frequency as the per-RO walk, so pair
+// comparisons see the exact same values on every CPU.  This holds by
+// construction:
 //  * all three paths call the same inline per-element helpers
 //    (effective_vth, alpha_power_edge_delay) with the same association;
 //  * hoisted subexpressions (edge_scale, dtemp) preserve the historical
@@ -27,8 +28,9 @@
 //    never enables FMA, so no path contracts a mul+add into a differently
 //    rounded fused op.
 //
-// Backend selection: simd when compiled in and the CPU supports AVX2, else
-// batched.  Tests and benches pick another one with set_delay_backend().
+// Backend selection is a fact of the CPU: simd when compiled in and the CPU
+// supports AVX2, else batched.  There is no switch; tests and bench_micro
+// reach each kernel through detail::.
 #pragma once
 
 #include <span>
@@ -43,28 +45,17 @@ namespace aropuf {
 
 struct TechnologyParams;
 
-/// Which implementation evaluates RO frequencies (see file comment).
+/// Which kernel evaluates RO frequencies (see file comment).
 enum class DelayBackend {
-  kReference,  ///< historical per-RO DelayModel walk (the comparison baseline)
-  kBatched,    ///< SoA one-pass kernel, compiler auto-vectorization
-  kSimd,       ///< explicit AVX2 kernel (falls back to kBatched if unavailable)
+  kBatched,  ///< SoA one-pass kernel, compiler auto-vectorization
+  kSimd,     ///< explicit AVX2 kernel
 };
 
-/// Human-readable backend name ("reference" / "batched" / "simd").
+/// Human-readable backend name ("batched" / "simd").
 [[nodiscard]] const char* to_string(DelayBackend backend) noexcept;
 
-/// The currently selected backend: the set_delay_backend() override, else
-/// the best available (simd when compiled + CPU-supported, otherwise batched).
+/// The kernel this CPU runs: simd when simd_available(), otherwise batched.
 [[nodiscard]] DelayBackend delay_backend() noexcept;
-
-/// Selects the backend for subsequent frequency evaluations and returns the
-/// *effective* backend: requesting kSimd without AVX2 support degrades to
-/// kBatched.  Used by tests and the bench binaries; not intended to be
-/// called concurrently with running evaluations.
-DelayBackend set_delay_backend(DelayBackend backend) noexcept;
-
-/// Drops any set_delay_backend() override: back to the best available.
-void reset_delay_backend() noexcept;
 
 /// True when the AVX2 kernel was compiled in (the compiler accepts -mavx2).
 [[nodiscard]] bool simd_compiled() noexcept;
@@ -99,10 +90,9 @@ struct RoArraySoA {
 };
 
 /// Evaluates the oscillation frequency of every RO in `soa` at `op` with the
-/// given per-RO aging shifts, writing `frequencies[ro]`.  Dispatches to the
-/// batched or SIMD implementation per delay_backend() (a kReference selection
-/// is honoured by the *callers* — RoPuf — which walk the per-RO path instead;
-/// this entry point itself then uses the batched implementation).
+/// given per-RO aging shifts, writing `frequencies[ro]`, through the kernel
+/// delay_backend() names.  The process's first call records that kernel as
+/// the manifest's "kernel_backend" process field.
 ///
 /// @param soa          device-parameter snapshot (see RoArraySoA)
 /// @param tech         technology the ROs were built from

@@ -84,7 +84,7 @@ void frequencies_avx2(const RoArraySoA& soa, const TechnologyParams& tech, Opera
     const std::size_t base = ro * stages;
     // The reduction stays serial in stage order (lane extraction below), so
     // accumulation order — and therefore every bit — matches the batched
-    // and reference paths.
+    // kernel and the per-RO walk.
     double half_period = 0.0;
     for (std::size_t s = 0; s < simd_stages; s += 4) {
       const std::size_t i = base + s;

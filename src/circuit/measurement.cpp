@@ -14,11 +14,6 @@ FrequencyCounter::FrequencyCounter(const TechnologyParams& tech, Seconds window)
   max_count_ = (1ULL << tech.counter_bits) - 1ULL;
 }
 
-std::uint64_t FrequencyCounter::measure(const RingOscillator& ro, OperatingPoint op,
-                                        Xoshiro256& noise_rng) const {
-  return measure_frequency(ro.frequency(op), noise_rng);
-}
-
 std::uint64_t FrequencyCounter::measure_frequency(Hertz f, Xoshiro256& noise_rng) const {
   // Low-frequency noise shifts the whole window's effective frequency.
   const double f_noisy = f * (1.0 + tech_->noise_lowfreq_rel * noise_rng.gaussian());

@@ -14,10 +14,9 @@
 
 #include <cstdint>
 
-#include "circuit/operating_point.hpp"
-#include "circuit/ring_oscillator.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "device/technology.hpp"
 
 namespace aropuf {
 
@@ -26,15 +25,9 @@ class FrequencyCounter {
   /// `window` — gate time of one measurement.
   FrequencyCounter(const TechnologyParams& tech, Seconds window);
 
-  /// One noisy measurement of `ro` at `op`; draws noise from `noise_rng`.
-  [[nodiscard]] std::uint64_t measure(const RingOscillator& ro, OperatingPoint op,
-                                      Xoshiro256& noise_rng) const;
-
-  /// One noisy measurement given an already-computed oscillation frequency
-  /// `f` — the batched-kernel entry point (RoPuf evaluates all frequencies
-  /// in one delay-kernel pass, then feeds them through here).  Draws the
-  /// same two Gaussians in the same order as measure(ro, ...), so for
-  /// f == ro.frequency(op) the two overloads are bit-identical.
+  /// One noisy measurement of an RO oscillating at `f`; draws two Gaussians
+  /// from `noise_rng`.  Callers read every frequency of a die in one
+  /// delay-kernel pass (RoPuf::ro_frequencies) and feed them through here.
   [[nodiscard]] std::uint64_t measure_frequency(Hertz f, Xoshiro256& noise_rng) const;
 
   /// Noise-free expected count for frequency `f` (before saturation).

@@ -35,14 +35,18 @@ class RingOscillator {
   RingOscillator(const TechnologyParams& tech, int num_stages, Position pos, Volts static_offset,
                  const DieVariation& die, Xoshiro256& rng);
 
-  /// Oscillation frequency at `op` including all accumulated aging.
+  /// Oscillation frequency at `op` including all accumulated aging, by the
+  /// per-RO walk: the oracle the delay kernels (delay_kernel.hpp) are tested
+  /// against bit for bit.  RoPuf evaluates a whole array through the kernel.
   [[nodiscard]] Hertz frequency(OperatingPoint op) const;
 
-  /// Frequency with aging ignored (enrollment-time / fresh silicon).
+  /// Frequency with aging ignored (enrollment-time / fresh silicon); the
+  /// oracle for RoPuf::fresh_ro_frequencies.
   [[nodiscard]] Hertz fresh_frequency(OperatingPoint op) const;
 
   /// Advances this RO's life by `duration` wall-clock seconds under `profile`.
   /// Oscillation cycles for HCI accrue at the RO's own (current) frequency.
+  /// The oracle for RoPuf::age, which takes the step overload below.
   void apply_stress(const AgingModel& aging, const StressProfile& profile, Seconds duration);
 
   /// Advances this RO through `step`, with its oscillation frequency at the

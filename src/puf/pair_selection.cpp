@@ -19,14 +19,14 @@ SelectedPairs select_max_margin_pairs(const RoPuf& chip, int group_size, Operati
   selection.group_size = group_size;
   selection.pairs.reserve(static_cast<std::size_t>(n / group_size));
 
+  const std::vector<double> freqs = chip.ro_frequencies(op);
   std::vector<double> mean_count(static_cast<std::size_t>(group_size));
   for (int base = 0; base < n; base += group_size) {
     for (int i = 0; i < group_size; ++i) {
       double total = 0.0;
       for (int r = 0; r < repeats; ++r) {
         total += static_cast<double>(
-            counter.measure(chip.oscillators()[static_cast<std::size_t>(base + i)], op,
-                            noise_rng));
+            counter.measure_frequency(freqs[static_cast<std::size_t>(base + i)], noise_rng));
       }
       mean_count[static_cast<std::size_t>(i)] = total / repeats;
     }
@@ -52,15 +52,14 @@ BitVector evaluate_with_pairs(const RoPuf& chip, const SelectedPairs& selection,
   ARO_REQUIRE(!selection.pairs.empty(), "empty pair selection");
   const auto n = static_cast<int>(chip.oscillators().size());
   const FrequencyCounter counter(chip.technology(), chip.config().measurement_window);
+  const std::vector<double> freqs = chip.ro_frequencies(op);
   BitVector response(selection.pairs.size());
   for (std::size_t b = 0; b < selection.pairs.size(); ++b) {
     const auto [ia, ib] = selection.pairs[b];
     ARO_REQUIRE(ia >= 0 && ia < n && ib >= 0 && ib < n && ia != ib,
                 "pair indices out of range");
-    const auto ca = counter.measure(chip.oscillators()[static_cast<std::size_t>(ia)], op,
-                                    noise_rng);
-    const auto cb = counter.measure(chip.oscillators()[static_cast<std::size_t>(ib)], op,
-                                    noise_rng);
+    const auto ca = counter.measure_frequency(freqs[static_cast<std::size_t>(ia)], noise_rng);
+    const auto cb = counter.measure_frequency(freqs[static_cast<std::size_t>(ib)], noise_rng);
     response.set(b, compare_counts(ca, cb));
   }
   return response;

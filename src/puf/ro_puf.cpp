@@ -62,10 +62,6 @@ RoPuf::RoPuf(const RoPuf& die, PufConfig config)
 
 std::vector<double> RoPuf::ro_frequencies(OperatingPoint op) const {
   std::vector<double> freqs(ros_.size());
-  if (delay_backend() == DelayBackend::kReference) {
-    for (std::size_t i = 0; i < ros_.size(); ++i) freqs[i] = ros_[i].frequency(op);
-    return freqs;
-  }
   std::vector<AgingShifts> shifts;
   shifts.reserve(ros_.size());
   for (const auto& ro : ros_) shifts.push_back(ro.aging_shifts());
@@ -75,10 +71,6 @@ std::vector<double> RoPuf::ro_frequencies(OperatingPoint op) const {
 
 std::vector<double> RoPuf::fresh_ro_frequencies(OperatingPoint op) const {
   std::vector<double> freqs(ros_.size());
-  if (delay_backend() == DelayBackend::kReference) {
-    for (std::size_t i = 0; i < ros_.size(); ++i) freqs[i] = ros_[i].fresh_frequency(op);
-    return freqs;
-  }
   const std::vector<AgingShifts> shifts(ros_.size());  // all-zero: fresh silicon
   compute_frequencies(soa_, *tech_, op, shifts, freqs);
   return freqs;
@@ -126,10 +118,6 @@ void RoPuf::age_years(double y) {
 }
 
 void RoPuf::age(const StressProfile& profile, Seconds duration) {
-  if (delay_backend() == DelayBackend::kReference) {
-    for (auto& ro : ros_) ro.apply_stress(aging_, profile, duration);
-    return;
-  }
   // One batched kernel pass yields every RO's current frequency at the
   // stress condition; each RO then advances with its own value — the same
   // number apply_stress(aging, profile, duration) would compute itself —

@@ -56,10 +56,10 @@ class RoPuf {
   /// for the E1 bench and the entropy study).
   [[nodiscard]] std::vector<double> pair_frequency_differences(OperatingPoint op) const;
 
-  /// Frequencies of all ROs at `op` including accumulated aging, evaluated
-  /// through the selected delay backend (one batched kernel pass, or the
-  /// per-RO reference walk under DelayBackend::kReference).  frequencies[i]
-  /// is bit-identical to oscillators()[i].frequency(op) on every backend.
+  /// Frequencies of all ROs at `op` including accumulated aging, in one pass
+  /// of the CPU's delay kernel (delay_kernel.hpp).  frequencies[i] is
+  /// bit-identical to oscillators()[i].frequency(op), the per-RO walk the
+  /// tests hold every kernel to.
   [[nodiscard]] std::vector<double> ro_frequencies(OperatingPoint op) const;
 
   /// Same with aging ignored (enrollment-time / fresh silicon);

@@ -243,10 +243,12 @@ std::unique_ptr<ParallelExecutor> g_global_executor;
 
 namespace {
 
-/// The global pool's size is provenance: manifests record it, and the log
-/// line answers "how many workers actually ran" without attaching a tracer.
+/// The global pool's size is provenance: manifests record it as a process
+/// field (it outlives every run-record reset, so each in-process shard and
+/// each fleet job states it), and the log line answers "how many workers
+/// actually ran" without attaching a tracer.
 void announce_global_pool(int threads) {
-  telemetry::set_runtime_field("threads", JsonValue(threads));
+  telemetry::set_process_field("threads", JsonValue(threads));
   ARO_LOG_DEBUG("parallel", "global executor ready", {"threads", JsonValue(threads)});
 }
 

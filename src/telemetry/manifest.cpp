@@ -1,7 +1,7 @@
 #include "telemetry/manifest.hpp"
 
-#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <ctime>
 #include <fstream>
 #include <mutex>
@@ -38,8 +38,8 @@ struct StageRecord {
 struct RunRecord {
   std::mutex mutex;
   std::vector<StageRecord> stages;
+  JsonValue::Object process_fields;
   JsonValue::Object runtime_fields;
-  std::atomic<std::uint64_t> generation{1};
 };
 
 RunRecord& run_record() {
@@ -56,6 +56,12 @@ bool simd_compiled_in() noexcept {
 }
 
 }  // namespace
+
+void set_process_field(const std::string& key, JsonValue value) {
+  RunRecord& r = run_record();
+  std::lock_guard<std::mutex> lock(r.mutex);
+  r.process_fields[key] = std::move(value);
+}
 
 void set_runtime_field(const std::string& key, JsonValue value) {
   RunRecord& r = run_record();
@@ -79,11 +85,6 @@ void reset_run_record() {
   std::lock_guard<std::mutex> lock(r.mutex);
   r.stages.clear();
   r.runtime_fields.clear();
-  r.generation.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t run_record_generation() noexcept {
-  return run_record().generation.load(std::memory_order_relaxed);
 }
 
 struct StageTimer::Impl {
@@ -145,13 +146,14 @@ JsonValue build_manifest(const std::string& run_name, JsonValue config) {
   }
   root["config"] = config.is_object() ? std::move(config) : JsonValue(JsonValue::Object{});
 
-  // Runtime fields reported by subsystems at their point of use; defaults
-  // keep the schema total even when a subsystem never ran.
+  // Fields reported by subsystems at their point of use; defaults keep the
+  // schema total even when a subsystem never ran.
   root["threads"] = JsonValue(0);
   root["kernel_backend"] = JsonValue("unknown");
   {
     RunRecord& r = run_record();
     std::lock_guard<std::mutex> lock(r.mutex);
+    for (const auto& [key, value] : r.process_fields) root[key] = value;
     for (const auto& [key, value] : r.runtime_fields) root[key] = value;
     JsonValue::Array stages;
     stages.reserve(r.stages.size());

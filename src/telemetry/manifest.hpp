@@ -3,23 +3,26 @@
 // A manifest is a JSON document written next to a run's CSV output that pins
 // the result to exactly what produced it: config echo, RNG seed, git sha,
 // build flags, thread count, kernel backend, wall/CPU time per stage, and a
-// final metrics snapshot.  The sharded-run driver on the ROADMAP merges
+// final metrics snapshot.  The shard orchestrator (tools/aropuf_shard) merges
 // shards by reading these instead of parsing logs.
 //
-// Two inputs feed a manifest besides the caller's config echo:
-//  * runtime fields — subsystems self-report facts at the point of use
-//    (the thread pool registers "threads", the delay kernel registers
-//    "kernel_backend") via set_runtime_field(), keeping this module free of
-//    upward dependencies;
+// Three inputs feed a manifest besides the caller's config echo:
+//  * process fields — facts that hold for the whole process, reported by
+//    subsystems at the point of use via set_process_field(): the thread pool
+//    registers "threads" and the delay kernel "kernel_backend".  They
+//    survive reset_run_record(), so a process that writes many manifests
+//    (in-process shard runs, fleet workers) states them in every one;
+//  * runtime fields — facts about one run (e.g. a shard's coordinates and
+//    results) via set_runtime_field(); reset_run_record() clears them;
 //  * stages — StageTimer RAII scopes record wall and CPU time per named
 //    stage into a process-wide log (scenario functions wrap their bodies).
+// Both field kinds keep this module free of upward dependencies.
 //
 // Drivers call finalize_run() last: it writes the manifest to the path in
 // AROPUF_MANIFEST (when set), flushes the trace session (when active), and
 // returns false on any write failure so main() can exit non-zero.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -31,8 +34,13 @@ namespace aropuf::telemetry {
 inline constexpr const char* kManifestSchema = "aropuf-run-manifest";
 inline constexpr int kManifestSchemaVersion = 1;
 
-/// Registers (or overwrites) a runtime provenance field, e.g.
-/// set_runtime_field("threads", JsonValue(8)).  Thread-safe.
+/// Registers (or overwrites) a process provenance field, e.g.
+/// set_process_field("threads", JsonValue(8)).  It survives
+/// reset_run_record().  Thread-safe.
+void set_process_field(const std::string& key, JsonValue value);
+
+/// Registers (or overwrites) a runtime provenance field of the current run,
+/// e.g. set_runtime_field("shard", descriptor).  Thread-safe.
 void set_runtime_field(const std::string& key, JsonValue value);
 
 /// Appends one completed stage to the process-wide stage log.
@@ -45,17 +53,8 @@ void record_stage(const std::string& name, double wall_ms, double cpu_ms,
                   JsonValue::Object counters);
 
 /// Clears stages and runtime fields (tests, and orchestrators that produce
-/// several per-shard manifests from one process).  Bumps the run-record
-/// generation so once-per-run provenance announcers re-fire.
+/// several per-shard manifests from one process).  Process fields stay.
 void reset_run_record();
-
-/// Monotonic generation of the run record: starts at 1, incremented by every
-/// reset_run_record().  Modules that register provenance lazily on first use
-/// (e.g. the delay kernel's "kernel_backend" field) compare this against the
-/// generation they last announced under, so a process that serves many jobs
-/// back to back (fleet workers, in-process shard runs) re-registers into each
-/// fresh record instead of leaving later manifests at "unknown".
-[[nodiscard]] std::uint64_t run_record_generation() noexcept;
 
 /// RAII wall + CPU stage timer; records into the stage log on destruction
 /// and opens a trace span of the same name for the duration.
@@ -74,9 +73,12 @@ class StageTimer {
 
 /// Assembles the manifest document:
 ///   schema/schema_version/run/created_unix_ms/git_sha/build/config/
-///   runtime fields (threads, kernel_backend, ...)/stages/metrics/profile.
-/// Absent runtime fields default ("threads": 0, "kernel_backend": "unknown")
-/// so the document always validates against scripts/validate_manifest.py.
+///   process fields (threads, kernel_backend)/runtime fields (shard, ...)/
+///   stages/metrics/profile.
+/// Runtime fields are written after process fields, so a runtime field wins
+/// a shared key.  Unreported facts default ("threads": 0, "kernel_backend":
+/// "unknown") so the document always validates against
+/// scripts/validate_manifest.py.
 [[nodiscard]] JsonValue build_manifest(const std::string& run_name, JsonValue config);
 
 /// Serializes build_manifest() to `path` (pretty-printed).  Returns false and

@@ -375,7 +375,7 @@ CounterDelta CounterReader::sample() const {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics + scope.
+// Metrics.
 
 void record_counter_metrics(const CounterDelta& delta) {
   MetricsRegistry& reg = MetricsRegistry::global();
@@ -393,17 +393,6 @@ void record_counter_metrics(const CounterDelta& delta) {
     reg.gauge("prof.cache_miss_rate").set(delta.cache_miss_rate());
   }
 }
-
-CounterScope::CounterScope(std::string name)
-    : name_(std::move(name)), start_us_(steady_now_us()) {}
-
-CounterScope::~CounterScope() {
-  const CounterDelta d = reader_.sample();
-  record_counter_metrics(d);
-  if (trace_enabled()) trace_complete(name_, "prof", start_us_, d.to_json());
-}
-
-CounterDelta CounterScope::sample() const { return reader_.sample(); }
 
 // ---------------------------------------------------------------------------
 // ResourceSampler.

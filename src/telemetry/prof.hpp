@@ -9,11 +9,11 @@
 //    (perf_event_paranoid, containers without a PMU, macOS, Windows) the
 //    reader still measures wall + rusage CPU time — `CounterDelta` says
 //    which fields are real via `counters_valid`.
-//  * CounterScope — RAII around CounterReader: on destruction it attaches
-//    the delta (IPC, cache-miss rate, GHz) to the trace stream as a span
-//    and records it into the sharded metrics registry ("prof.*").
-//    StageTimer embeds the same reader, so stage entries in run manifests
-//    grow a "counters" object whenever counters are live.
+//  * StageTimer (manifest.hpp) embeds a CounterReader: whenever counters
+//    are live, its stage entry in the run manifest and its trace span grow
+//    a "counters" object (IPC, cache-miss rate, GHz), and whenever
+//    profiling is on, record_counter_metrics() files the delta in the
+//    sharded metrics registry ("prof.*").
 //  * ResourceSampler — a background thread polling /proc/self/statm +
 //    getrusage on a configurable cadence, emitting a resource.jsonl
 //    timeline (validated by scripts/validate_manifest.py --resource) and
@@ -37,7 +37,7 @@ namespace aropuf::telemetry {
 
 /// Resolved profiling mode for this process.
 enum class ProfMode {
-  kOff,       ///< AROPUF_PROF unset/off: scopes measure wall/CPU only.
+  kOff,       ///< AROPUF_PROF unset/off: stages measure wall/CPU only.
   kCounters,  ///< perf_event counters are live.
   kFallback,  ///< Requested but unavailable: rusage/steady-clock only.
 };
@@ -125,25 +125,6 @@ class CounterReader {
 /// across shards) and "prof.ipc"/"prof.cache_miss_rate"/"prof.ghz"
 /// (gauges, last-write).
 void record_counter_metrics(const CounterDelta& delta);
-
-/// RAII profiling span: CounterReader + on destruction a "prof"-category
-/// trace span carrying the delta as args, plus record_counter_metrics().
-class CounterScope {
- public:
-  explicit CounterScope(std::string name);
-  ~CounterScope();
-
-  CounterScope(const CounterScope&) = delete;
-  CounterScope& operator=(const CounterScope&) = delete;
-
-  /// Delta so far (the destructor records its own final sample).
-  [[nodiscard]] CounterDelta sample() const;
-
- private:
-  std::string name_;
-  std::uint64_t start_us_ = 0;
-  CounterReader reader_;
-};
 
 /// Background thread sampling process resources on a fixed cadence.
 class ResourceSampler {

@@ -1,7 +1,7 @@
-// Batched delay kernel contract tests: bitwise equality of every backend
-// against the per-RO reference path (fresh silicon, aged silicon, off-nominal
-// corners, near-threshold supplies where the overdrive floor engages), SoA
-// flattening, span validation, and backend selection (API + AVX2 fallback).
+// Batched delay kernel contract tests: bitwise equality of both kernels
+// against the per-RO walk, their oracle (fresh silicon, aged silicon,
+// off-nominal corners, near-threshold supplies where the overdrive floor
+// engages), SoA flattening, span validation, and the CPU's kernel choice.
 #include "circuit/delay_kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -15,12 +15,6 @@
 
 namespace aropuf {
 namespace {
-
-/// Restores the backend to the hardware default on scope exit so backend
-/// mutations never leak into other tests.
-struct BackendGuard {
-  ~BackendGuard() { reset_delay_backend(); }
-};
 
 class DelayKernelTest : public ::testing::Test {
  protected:
@@ -53,7 +47,7 @@ class DelayKernelTest : public ::testing::Test {
   }
 
   /// Expects the batched (and, when available, AVX2) kernel to reproduce the
-  /// reference per-RO frequencies bit for bit at `op`.
+  /// per-RO walk's frequencies bit for bit at `op`.
   void expect_bitwise_equal_backends(const std::vector<RingOscillator>& ros,
                                      OperatingPoint op) const {
     const RoArraySoA soa = RoArraySoA::from_oscillators(ros);
@@ -61,7 +55,7 @@ class DelayKernelTest : public ::testing::Test {
     std::vector<double> batched(ros.size());
     detail::frequencies_batched(soa, tech_, op, shifts, batched);
     for (std::size_t i = 0; i < ros.size(); ++i) {
-      EXPECT_EQ(batched[i], ros[i].frequency(op)) << "RO " << i << " batched vs reference";
+      EXPECT_EQ(batched[i], ros[i].frequency(op)) << "RO " << i << " batched vs per-RO walk";
     }
 #if defined(AROPUF_SIMD_ENABLED)
     if (simd_available()) {
@@ -169,7 +163,7 @@ TEST_F(DelayKernelTest, StageCountSweepMatchesReferenceBitwise) {
 // nominal Vth values, every overdrive clamped) threshold, the batched/SIMD
 // kernels must apply the same max(vdd - vth, kMinOverdrive) floor as
 // DelayModel::edge_delay — frequencies stay finite, positive, and
-// bit-identical to the reference path.
+// bit-identical to the per-RO walk.
 TEST_F(DelayKernelTest, NearThresholdVddHonoursOverdriveFloorBitwise) {
   std::vector<RingOscillator> ros = make_ros();
   age_unevenly(ros);
@@ -188,24 +182,8 @@ TEST_F(DelayKernelTest, NearThresholdVddHonoursOverdriveFloorBitwise) {
 }
 
 TEST(DelayBackendTest, ToStringNamesEveryBackend) {
-  EXPECT_STREQ(to_string(DelayBackend::kReference), "reference");
   EXPECT_STREQ(to_string(DelayBackend::kBatched), "batched");
   EXPECT_STREQ(to_string(DelayBackend::kSimd), "simd");
-}
-
-TEST(DelayBackendTest, SetBackendReturnsEffectiveBackend) {
-  BackendGuard guard;
-  EXPECT_EQ(set_delay_backend(DelayBackend::kReference), DelayBackend::kReference);
-  EXPECT_EQ(delay_backend(), DelayBackend::kReference);
-  EXPECT_EQ(set_delay_backend(DelayBackend::kBatched), DelayBackend::kBatched);
-  // kSimd degrades to kBatched when the AVX2 kernel is absent.
-  const DelayBackend effective = set_delay_backend(DelayBackend::kSimd);
-  if (simd_available()) {
-    EXPECT_EQ(effective, DelayBackend::kSimd);
-  } else {
-    EXPECT_EQ(effective, DelayBackend::kBatched);
-  }
-  EXPECT_EQ(delay_backend(), effective);
 }
 
 TEST(DelayBackendTest, SimdAvailableImpliesSimdCompiled) {
@@ -214,10 +192,7 @@ TEST(DelayBackendTest, SimdAvailableImpliesSimdCompiled) {
   }
 }
 
-TEST(DelayBackendTest, ResetSelectsBestAvailableBackend) {
-  BackendGuard guard;
-  set_delay_backend(DelayBackend::kReference);
-  reset_delay_backend();
+TEST(DelayBackendTest, CpuPicksTheBestAvailableBackend) {
   EXPECT_EQ(delay_backend(), simd_available() ? DelayBackend::kSimd : DelayBackend::kBatched);
 }
 

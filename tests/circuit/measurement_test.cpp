@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "circuit/ring_oscillator.hpp"
 #include "common/statistics.hpp"
 #include "device/technology.hpp"
 
@@ -30,7 +31,7 @@ TEST_F(MeasurementTest, CountTracksExpectedValue) {
   Xoshiro256 noise(3);
   RunningStats stats;
   for (int i = 0; i < 500; ++i) {
-    stats.add(static_cast<double>(counter.measure(ro, nominal_, noise)));
+    stats.add(static_cast<double>(counter.measure_frequency(ro.frequency(nominal_), noise)));
   }
   EXPECT_NEAR(stats.mean(), expected, expected * 1e-3);
 }
@@ -42,7 +43,7 @@ TEST_F(MeasurementTest, NoiseScaleMatchesModel) {
   Xoshiro256 noise(5);
   RunningStats stats;
   for (int i = 0; i < 2000; ++i) {
-    stats.add(static_cast<double>(counter.measure(ro, nominal_, noise)));
+    stats.add(static_cast<double>(counter.measure_frequency(ro.frequency(nominal_), noise)));
   }
   // sigma = sqrt((lf * N)^2 + jitter^2 * N) plus quantization.
   const double lf = tech_.noise_lowfreq_rel * expected;
@@ -59,7 +60,7 @@ TEST_F(MeasurementTest, CounterSaturatesAtWidth) {
   const RingOscillator ro = make_ro();
   Xoshiro256 noise(7);
   // ~1 GHz for 20 us is tens of thousands of cycles: must clamp to 255.
-  EXPECT_EQ(counter.measure(ro, nominal_, noise), 255U);
+  EXPECT_EQ(counter.measure_frequency(ro.frequency(nominal_), noise), 255U);
 }
 
 TEST_F(MeasurementTest, SixteenBitCounterFitsDefaultWindow) {
@@ -76,7 +77,8 @@ TEST_F(MeasurementTest, LongerWindowMoreCounts) {
   const RingOscillator ro = make_ro();
   Xoshiro256 n1(9);
   Xoshiro256 n2(9);
-  EXPECT_GT(long_counter.measure(ro, nominal_, n2), short_counter.measure(ro, nominal_, n1));
+  const Hertz f = ro.frequency(nominal_);
+  EXPECT_GT(long_counter.measure_frequency(f, n2), short_counter.measure_frequency(f, n1));
 }
 
 TEST_F(MeasurementTest, RejectsNonPositiveWindow) {
@@ -99,8 +101,8 @@ TEST_F(MeasurementTest, FasterRoWinsComparisonOnAverage) {
   int a_wins = 0;
   constexpr int kTrials = 200;
   for (int i = 0; i < kTrials; ++i) {
-    const auto ca = counter.measure(a, nominal_, noise);
-    const auto cb = counter.measure(b, nominal_, noise);
+    const auto ca = counter.measure_frequency(a.frequency(nominal_), noise);
+    const auto cb = counter.measure_frequency(b.frequency(nominal_), noise);
     if (compare_counts(ca, cb)) ++a_wins;
   }
   if (a_truly_faster) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "circuit/delay_kernel.hpp"
 #include "common/statistics.hpp"
 #include "sim/parallel.hpp"
 #include "sim/study_report.hpp"
@@ -141,6 +142,24 @@ TEST(ShardStudyTest, BuildsEachDieOnceAndReusesItsOwnGoldenReads) {
         << shards << " shards";
     EXPECT_EQ(registry.counter("parallel.jobs").value(), 3u) << shards << " shards";
   }
+}
+
+TEST(ShardStudyTest, EveryShardJobOfOneProcessRecordsThePoolSize) {
+  // Each job resets the run record, as in-process shard runs and fleet
+  // workers do between jobs; the pool exists from the first job on, so only
+  // a process field brings its size into the second job's manifest.
+  const ShardStudyConfig cfg = small_config();
+  const int threads = ParallelExecutor::global().thread_count();
+  for (const int index : {0, 1}) {
+    const JsonValue doc =
+        JsonValue::parse(run_shard_job(cfg, index, 2, "threads_test", /*binary=*/false));
+    EXPECT_EQ(doc.as_object().at("threads").as_number(), static_cast<double>(threads))
+        << "shard " << index;
+    EXPECT_EQ(doc.as_object().at("kernel_backend").as_string(), to_string(delay_backend()))
+        << "shard " << index;
+  }
+  telemetry::MetricsRegistry::global().set_shard_index(-1);
+  telemetry::reset_run_record();
 }
 
 TEST(ShardStudyTest, ConfigEchoIsIdenticalAcrossShards) {

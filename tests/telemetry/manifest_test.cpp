@@ -61,6 +61,24 @@ TEST_F(ManifestTest, RuntimeFieldsOverrideDefaults) {
   EXPECT_EQ(m.as_object().at("kernel_backend").as_string(), "batched");
 }
 
+TEST_F(ManifestTest, ProcessFieldsSurviveTheRunRecordReset) {
+  set_process_field("test.process_fact", JsonValue(3));
+  set_runtime_field("test.run_fact", JsonValue(4));
+  // A runtime field wins a key it shares with a process field.
+  set_process_field("test.shared_fact", JsonValue("process"));
+  set_runtime_field("test.shared_fact", JsonValue("runtime"));
+  JsonValue m = build_manifest("run", JsonValue(JsonValue::Object{}));
+  EXPECT_EQ(m.as_object().at("test.process_fact").as_number(), 3.0);
+  EXPECT_EQ(m.as_object().at("test.run_fact").as_number(), 4.0);
+  EXPECT_EQ(m.as_object().at("test.shared_fact").as_string(), "runtime");
+
+  reset_run_record();
+  m = build_manifest("run", JsonValue(JsonValue::Object{}));
+  EXPECT_EQ(m.as_object().at("test.process_fact").as_number(), 3.0);
+  EXPECT_FALSE(m.as_object().contains("test.run_fact"));
+  EXPECT_EQ(m.as_object().at("test.shared_fact").as_string(), "process");
+}
+
 TEST_F(ManifestTest, StageTimerRecordsWallAndCpuTime) {
   {
     const StageTimer stage("unit-test-stage");

@@ -24,9 +24,9 @@ std::string read_file(const std::string& path) {
 }
 
 // Every test starts from a clean slate: no profiling env, no cached mode,
-// empty metrics.  The suite must pass identically on machines with and
-// without perf_event access — counter-dependent assertions are gated on
-// counters_active(), never assumed.
+// empty metrics and an empty run record.  The suite must pass identically
+// on machines with and without perf_event access — counter-dependent
+// assertions are gated on counters_active(), never assumed.
 class ProfTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -36,6 +36,7 @@ class ProfTest : public ::testing::Test {
     unsetenv("AROPUF_PROF_FORCE_FALLBACK");
     prof_reset_for_test();
     MetricsRegistry::global().reset();
+    reset_run_record();
   }
   void TearDown() override {
     unsetenv("AROPUF_PROF");
@@ -44,6 +45,7 @@ class ProfTest : public ::testing::Test {
     unsetenv("AROPUF_PROF_FORCE_FALLBACK");
     prof_reset_for_test();
     MetricsRegistry::global().reset();
+    reset_run_record();
   }
 };
 
@@ -74,20 +76,21 @@ TEST_F(ProfTest, ProfOnResolvesToCountersOrFallbackWithReason) {
   }
 }
 
-// The degraded path is the one CI actually exercises on PMU-less runners:
-// even with profiling off a CounterScope still measures wall time and
-// records the wall-only prof.* series — what it must never do is fabricate
-// hardware numbers.
+// The degraded path is the one CI actually exercises on PMU-less runners.
+// A StageTimer is the profiling scope: with profiling off it still measures
+// wall time into its stage row but files no prof.* series; what it must
+// never do is fabricate hardware numbers.
 TEST_F(ProfTest, ScopeInOffModeStillMeasuresWallTime) {
-  {
-    CounterScope scope("off-scope");
-    const CounterDelta mid = scope.sample();
-    EXPECT_FALSE(mid.counters_valid);
-    EXPECT_GE(mid.wall_ms, 0.0);
-  }
+  { const StageTimer stage("off-scope"); }
+  const JsonValue manifest = build_manifest("off", JsonValue(JsonValue::Object{}));
+  const auto& stages = manifest.as_object().at("stages").as_array();
+  ASSERT_EQ(stages.size(), 1U);
+  EXPECT_GE(stages[0].as_object().at("wall_ms").as_number(), 0.0);
+  EXPECT_FALSE(stages[0].as_object().contains("counters"));
   const JsonValue snap = MetricsRegistry::global().snapshot_json();
   const auto& obj = snap.as_object();
-  EXPECT_EQ(obj.at("counters").as_object().at("prof.scopes").as_number(), 1.0);
+  EXPECT_FALSE(obj.at("counters").as_object().contains("prof.scopes"));
+  EXPECT_FALSE(obj.at("histograms").as_object().contains("prof.scope_wall_ms"));
   EXPECT_FALSE(obj.at("counters").as_object().contains("prof.cycles"));
   EXPECT_FALSE(obj.at("gauges").as_object().contains("prof.ipc"));
 }
@@ -96,7 +99,7 @@ TEST_F(ProfTest, ScopeInFallbackModeStillRecordsWallMetrics) {
   setenv("AROPUF_PROF", "on", 1);
   setenv("AROPUF_PROF_FORCE_FALLBACK", "1", 1);
   prof_reset_for_test();
-  { CounterScope scope("fallback-scope"); }
+  { const StageTimer stage("fallback-scope"); }
   const JsonValue snap = MetricsRegistry::global().snapshot_json();
   const auto& obj = snap.as_object();
   EXPECT_EQ(obj.at("counters").as_object().at("prof.scopes").as_number(), 1.0);
