@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
+
 namespace aropuf {
 namespace {
 
@@ -106,6 +108,30 @@ TEST(BitVectorTest, ConcatPreservesOrder) {
   const BitVector b = BitVector::from_string("01");
   EXPECT_EQ(a.concat(b).to_string(), "11001");
   EXPECT_EQ(BitVector().concat(b).to_string(), "01");
+}
+
+TEST(BitVectorTest, ConcatJoinsAtEveryWordOffset) {
+  // The left side's length is the bit offset of the join: word-aligned (0,
+  // 64), just past a boundary (1, 65) or one short of it (63).
+  Xoshiro256 rng(21);
+  const auto random_bits = [&rng](std::size_t size) {
+    BitVector v(size);
+    for (std::size_t i = 0; i < size; ++i) v.set(i, rng.bernoulli(0.5));
+    return v;
+  };
+  for (const std::size_t offset : {0UL, 1UL, 63UL, 64UL, 65UL}) {
+    for (const std::size_t tail : {0UL, 1UL, 63UL, 64UL, 65UL, 130UL}) {
+      const BitVector a = random_bits(offset);
+      const BitVector b = random_bits(tail);
+      const BitVector joined = a.concat(b);
+      ASSERT_EQ(joined.size(), offset + tail);
+      for (std::size_t i = 0; i < offset; ++i) ASSERT_EQ(joined.get(i), a.get(i));
+      for (std::size_t i = 0; i < tail; ++i) {
+        ASSERT_EQ(joined.get(offset + i), b.get(i)) << offset << "+" << tail << " bit " << i;
+      }
+      EXPECT_EQ(joined.popcount(), a.popcount() + b.popcount()) << offset << "+" << tail;
+    }
+  }
 }
 
 TEST(BitVectorTest, OnesFraction) {

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
+#include "ecc/gf2m.hpp"
 
 namespace aropuf {
 namespace {
@@ -113,6 +116,60 @@ INSTANTIATE_TEST_SUITE_P(Codes, BchCorrectionTest,
                          ::testing::Values(BchCase{4, 1}, BchCase{4, 2}, BchCase{4, 3},
                                            BchCase{5, 3}, BchCase{6, 4}, BchCase{7, 5},
                                            BchCase{7, 10}, BchCase{8, 8}, BchCase{8, 18}),
+                         [](const auto& info) {
+                           return "m" + std::to_string(info.param.m) + "t" +
+                                  std::to_string(info.param.t);
+                         });
+
+// The syndrome rows pack t odd terms per position into 16-bit lanes, four to
+// a word.  These codes cover one lane, a full last word (t = 4), partial last
+// words (t = 5, 9, 10, 18) and full-width lanes at m = 14.
+class BchSyndromeLayoutTest : public ::testing::TestWithParam<BchCase> {};
+
+// True when S_j = sum over the set bits p of alpha^(j·p) is zero for every
+// j = 1 .. 2t, read straight from the field.
+bool oracle_is_codeword(const GF2m& field, int t, const BitVector& word) {
+  for (std::int64_t j = 1; j <= 2 * t; ++j) {
+    std::uint32_t s = 0;
+    for (std::size_t p = 0; p < word.size(); ++p) {
+      if (word.get(p)) s ^= field.alpha_pow(j * static_cast<std::int64_t>(p));
+    }
+    if (s != 0) return false;
+  }
+  return true;
+}
+
+TEST_P(BchSyndromeLayoutTest, RowsAgreeWithTheFieldOracle) {
+  const auto [m, t] = GetParam();
+  const BchCode code(m, t);
+  const GF2m field(m);
+  Xoshiro256 rng(static_cast<std::uint64_t>(100 * m + t));
+  for (std::uint64_t trial = 0; trial < 4; ++trial) {
+    const BitVector cw = code.encode(random_message(code.k(), rng()));
+    EXPECT_TRUE(code.is_codeword(cw));
+    EXPECT_TRUE(oracle_is_codeword(field, t, cw));
+
+    BitVector flipped = cw;
+    flipped.flip(static_cast<std::size_t>(rng.bounded(cw.size())));
+    EXPECT_FALSE(code.is_codeword(flipped));
+    EXPECT_FALSE(oracle_is_codeword(field, t, flipped));
+
+    BitVector noise(code.n());
+    for (std::size_t i = 0; i < noise.size(); ++i) noise.set(i, rng.bernoulli(0.5));
+    EXPECT_EQ(code.is_codeword(noise), oracle_is_codeword(field, t, noise));
+
+    for (int errors = 1; errors <= t; ++errors) {
+      const auto decoded = code.decode(with_random_errors(cw, errors, rng()));
+      ASSERT_TRUE(decoded.has_value()) << "trial " << trial << " e=" << errors;
+      EXPECT_EQ(*decoded, cw);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, BchSyndromeLayoutTest,
+                         ::testing::Values(BchCase{3, 1}, BchCase{5, 4}, BchCase{6, 5},
+                                           BchCase{7, 10}, BchCase{8, 18}, BchCase{10, 9},
+                                           BchCase{14, 2}),
                          [](const auto& info) {
                            return "m" + std::to_string(info.param.m) + "t" +
                                   std::to_string(info.param.t);
