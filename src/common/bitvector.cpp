@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -65,6 +66,15 @@ BitVector BitVector::from_bytes(const std::uint8_t* data, std::size_t bits) {
     const std::size_t off = w * 8;
     v.words_[w] = load_word_le(data + off, std::min<std::size_t>(8, nbytes - off));
   }
+  v.clear_padding();
+  return v;
+}
+
+BitVector BitVector::from_words(std::vector<std::uint64_t> words, std::size_t bits) {
+  ARO_REQUIRE(words.size() == words_for(bits), "from_words needs ceil(bits / 64) words");
+  BitVector v;
+  v.words_ = std::move(words);
+  v.size_ = bits;
   v.clear_padding();
   return v;
 }
@@ -151,9 +161,19 @@ BitVector BitVector::slice(std::size_t begin, std::size_t len) const {
 }
 
 BitVector BitVector::concat(const BitVector& other) const {
+  // Padding bits are zero, so `other` can be ORed in at bit offset size_:
+  // each of its words lands in word first + w, its high bits spilling into
+  // the next word when the offset is not word-aligned.
   BitVector out(size_ + other.size_);
-  for (std::size_t i = 0; i < size_; ++i) out.set(i, get(i));
-  for (std::size_t i = 0; i < other.size_; ++i) out.set(size_ + i, other.get(i));
+  std::copy(words_.begin(), words_.end(), out.words_.begin());
+  const std::size_t first = size_ / kWordBits;
+  const std::size_t shift = size_ % kWordBits;
+  for (std::size_t w = 0; w < other.words_.size(); ++w) {
+    out.words_[first + w] |= other.words_[w] << shift;
+    if (shift != 0 && first + w + 1 < out.words_.size()) {
+      out.words_[first + w + 1] |= other.words_[w] >> (kWordBits - shift);
+    }
+  }
   return out;
 }
 

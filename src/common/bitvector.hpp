@@ -27,6 +27,11 @@ class BitVector {
   /// beyond `bits` are ignored.
   static BitVector from_bytes(const std::uint8_t* data, std::size_t bits);
 
+  /// Takes `words` as the storage of `bits` bits, bit i at bit i % 64 of
+  /// word i / 64 (the words() layout).  Requires ceil(bits / 64) words;
+  /// bits beyond `bits` in the last word are cleared.
+  static BitVector from_words(std::vector<std::uint64_t> words, std::size_t bits);
+
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
@@ -52,7 +57,7 @@ class BitVector {
   /// Extracts bits [begin, begin+len).
   [[nodiscard]] BitVector slice(std::size_t begin, std::size_t len) const;
 
-  /// Concatenates `other` after this vector.
+  /// Concatenates `other` after this vector, a word at a time.
   [[nodiscard]] BitVector concat(const BitVector& other) const;
 
   /// '0'/'1' rendering, index 0 first.

@@ -10,13 +10,21 @@
 // This is a faithful implementation — syndromes, the error-locator via BM,
 // and root search via Chien — not a behavioural stub, because the E7 area
 // bench derives decoder complexity from the same (m, t) parameters that
-// drive this decoder, and the keygen tests exercise real correction.  The
-// decoder runs on the field's log/antilog tables: it is the key-reconstruct
-// hot path (rep-3 + BCH(127,64,10) per verify_key).
+// drive this decoder, and the keygen tests exercise real correction.  It is
+// the key-reconstruct hot path (rep-3 + BCH(127,64,10) per verify_key).
+//
+// Syndromes come from a table built once per code: row p holds the t odd
+// terms alpha^(j·p), j = 1, 3, .., 2t − 1, as 16-bit lanes (m <= 14), four
+// to a 64-bit word, so a word's odd syndromes are the XOR of the rows of its
+// set bits (n·ceil(t/4) words: 3 KB for BCH(127,64,10)).  The even ones are
+// squares, S_2j = S_j².  The same rows serve is_codeword, the decoder's
+// first step and its final check.  BM and Chien run on the field's
+// log/antilog tables.  The encoder divides by g(x) a word at a time.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "common/bitvector.hpp"
 #include "ecc/gf2m.hpp"
@@ -57,11 +65,19 @@ class BchCode {
   [[nodiscard]] static std::size_t dimension(int m, int t);
 
  private:
+  /// XORs the syndrome rows of `word`'s set bits into `acc` (row_words_
+  /// words): lane i then holds the odd syndrome S_(2i+1).
+  void add_syndrome_rows(const BitVector& word, std::uint64_t* acc) const;
+  /// XORs position p's row into `acc`.
+  void add_syndrome_row(std::size_t p, std::uint64_t* acc) const;
+
   GF2m field_;
   int t_;
   std::size_t n_;
   std::size_t k_;
   BitVector generator_;
+  std::size_t row_words_ = 0;                ///< ceil(t / 4) words per row
+  std::vector<std::uint64_t> syndrome_rows_;  ///< n rows, row p at p·row_words_
 };
 
 }  // namespace aropuf
