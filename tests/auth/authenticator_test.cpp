@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "auth/store_binary.hpp"
 #include "ecc/code_search.hpp"
@@ -242,6 +245,61 @@ TEST_F(AuthenticatorTest, KeyModeEnrollAndConfirm) {
   EXPECT_FALSE(bad->accepted);
 
   EXPECT_FALSE(auth.verify_key(DeviceId{51}, extractor, golden).has_value());
+}
+
+TEST(AuthenticatorKeyModeTest, VerifyingThreadsShareOneExtractor) {
+  // Every verifying thread decodes through the extractor's one BCH code and
+  // reads its syndrome rows; decisions must match the serial ones (and the
+  // rows must only be read: checked under TSan).
+  ConcatenatedScheme scheme;
+  scheme.repetition = 3;
+  scheme.bch_m = 7;
+  scheme.bch_t = 10;
+  scheme.key_bits = 128;
+  const FuzzyExtractor extractor(scheme);
+  Authenticator auth(AuthPolicy::for_false_accept_rate(128, 1e-6));
+  RngFabric fabric(78);
+  std::vector<BitVector> golden;
+  for (std::uint64_t d = 0; d < 8; ++d) {
+    Xoshiro256 bits = fabric.stream("golden", d);
+    BitVector g(extractor.response_bits());
+    for (std::size_t i = 0; i < g.size(); ++i) g.set(i, bits.bernoulli(0.5));
+    Xoshiro256 rng = fabric.stream("enroll", d);
+    auth.enroll_key(DeviceId{d}, extractor, g, rng);
+    golden.push_back(std::move(g));
+  }
+  // Reads at the 10-year ARO raw BER; every twelfth claims another device.
+  std::vector<BitVector> claims;
+  Xoshiro256 noise = fabric.stream("noise", 0);
+  for (std::size_t c = 0; c < 96; ++c) {
+    BitVector claim = golden[(c + (c % 12 == 11 ? 1 : 0)) % golden.size()];
+    for (std::size_t i = 0; i < claim.size(); ++i) {
+      if (noise.bernoulli(0.079)) claim.flip(i);
+    }
+    claims.push_back(std::move(claim));
+  }
+  const auto decide = [&](std::size_t c) {
+    const auto result = auth.verify_key(DeviceId{c % golden.size()}, extractor, claims[c]);
+    return result.has_value() && result->accepted;
+  };
+  std::vector<char> expected;
+  for (std::size_t c = 0; c < claims.size(); ++c) expected.push_back(decide(c) ? 1 : 0);
+  EXPECT_GT(std::count(expected.begin(), expected.end(), 1), 80);
+  EXPECT_GE(std::count(expected.begin(), expected.end(), 0), 8);
+
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < mismatches.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 4; ++round) {
+        for (std::size_t c = t; c < claims.size(); c += 2) {
+          if ((decide(c) ? 1 : 0) != expected[c]) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (const int m : mismatches) EXPECT_EQ(m, 0);
 }
 
 }  // namespace
