@@ -1,9 +1,13 @@
 // Calibration tests: assert that the simulation reproduces the ARO-PUF
 // paper's headline numbers within the documented bands (DESIGN.md §5).
 //
-// These are the reproduction's acceptance tests.  They use moderate
-// populations, so the bands are generous enough to absorb Monte Carlo noise
-// while still distinguishing the paper's claims from a broken model.
+// These are the reproduction's acceptance tests.  The 30-chip cases carry
+// the paper's bands, generous enough to absorb one small population's Monte
+// Carlo noise.  The Converged* cases pin the model's converged headlines on
+// a 400-chip population: each band is the mean +- 4 sd of an 8-seed x
+// 400-chip ensemble (seeds 1-8, rounded outward to 0.01 pp), so a physics
+// regression of a fraction of a point fails there even when it stays inside
+// the paper's band.
 #include <gtest/gtest.h>
 
 #include "sim/scenarios.hpp"
@@ -22,6 +26,49 @@ class CalibrationTest : public ::testing::Test {
  protected:
   PopulationConfig pop_ = paper_pop();
 };
+
+PopulationConfig converged_pop() {
+  PopulationConfig pop = paper_pop();
+  pop.chips = 400;
+  return pop;
+}
+
+double converged_ten_year_flips(const PufConfig& puf) {
+  const double checkpoints[] = {10.0};
+  return run_aging_series(converged_pop(), puf, checkpoints).mean_flip_percent[0];
+}
+
+double converged_inter_chip_hd(const PufConfig& puf) {
+  return run_uniqueness(converged_pop(), puf).uniqueness.mean_percent();
+}
+
+// Ensemble: mean 32.350 %, sd 0.274.
+TEST(ConvergedCalibrationTest, ConventionalTenYearFlips) {
+  const double flips = converged_ten_year_flips(PufConfig::conventional());
+  EXPECT_GT(flips, 31.25);
+  EXPECT_LT(flips, 33.45);
+}
+
+// Ensemble: mean 7.228 %, sd 0.053.
+TEST(ConvergedCalibrationTest, AroTenYearFlips) {
+  const double flips = converged_ten_year_flips(PufConfig::aro());
+  EXPECT_GT(flips, 7.01);
+  EXPECT_LT(flips, 7.45);
+}
+
+// Ensemble: mean 45.381 %, sd 0.418.
+TEST(ConvergedCalibrationTest, ConventionalInterChipHd) {
+  const double hd = converged_inter_chip_hd(PufConfig::conventional());
+  EXPECT_GT(hd, 43.70);
+  EXPECT_LT(hd, 47.06);
+}
+
+// Ensemble: mean 49.978 %, sd 0.026.
+TEST(ConvergedCalibrationTest, AroInterChipHd) {
+  const double hd = converged_inter_chip_hd(PufConfig::aro());
+  EXPECT_GT(hd, 49.87);
+  EXPECT_LT(hd, 50.09);
+}
 
 TEST_F(CalibrationTest, ConventionalTenYearFlipsNearPaper32Percent) {
   const double checkpoints[] = {10.0};
