@@ -8,7 +8,9 @@ any gated benchmark regressed by more than the threshold (default 30 %).
 Raw wall-clock times are useless across heterogeneous CI runners, so the
 baseline stores *normalized ratios*: each benchmark's time divided by the
 time of a CPU-bound normalizer benchmark (BM_GateNormalizer_1KiB) from the
-same run.  A runner that is 2x slower slows the benchmark AND the normalizer
+same run.  The gated run repeats every row (--benchmark_repetitions=5) and
+the gate reads each row's median, the normalizer's included, so one noisy
+reading moves neither a row nor, through the normalizer, every ratio.  A runner that is 2x slower slows the benchmark AND the normalizer
 2x, so the ratio — and therefore the gate — is machine-speed independent.
 Only genuine relative slowdowns of the simulation kernels trip it.
 
@@ -47,7 +49,7 @@ Baseline refresh procedure (after an intentional perf change):
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build build -j
   AROPUF_THREADS=1 build/bench/bench_micro --benchmark_format=json \
       --benchmark_filter='BM_(KernelFrequencies|AgingSeries200/1|ChipConstruction|ChipEvaluate|GateNormalizer|FoldShard|AuthVerify|KeyReconstruct|BchDecode/7/10)' \
-      --benchmark_min_time=0.2 > results.json
+      --benchmark_min_time=0.2 --benchmark_repetitions=5 > results.json
   python3 scripts/perf_gate.py update results.json
 then commit bench/baseline.json with a note on why the numbers moved.
 
@@ -62,6 +64,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -73,29 +76,28 @@ _UNIT_TO_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load_times_ns(results_path: Path) -> dict[str, float]:
-    """name -> real_time in ns for every plain (non-aggregate) benchmark."""
+    """name -> median real_time in ns across the repetitions of every plain
+    (non-aggregate) benchmark."""
     with results_path.open() as fh:
         data = json.load(fh)
-    times: dict[str, float] = {}
+    runs: dict[str, list[float]] = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type") == "aggregate" or "aggregate_name" in bench:
             continue
         if bench.get("error_occurred"):
             continue  # e.g. the simd row skipping itself on a non-AVX2 CPU
-        name = bench["name"]
-        if name in times:
-            continue  # keep the first occurrence of repeated runs
-        times[name] = float(bench["real_time"]) * _UNIT_TO_NS[bench.get("time_unit", "ns")]
-    return times
+        t = float(bench["real_time"]) * _UNIT_TO_NS[bench.get("time_unit", "ns")]
+        runs.setdefault(bench["name"], []).append(t)
+    return {name: statistics.median(ts) for name, ts in runs.items()}
 
 
 def load_min_times_ns(results_path: Path) -> dict[str, float]:
     """name -> minimum real_time in ns across repetitions.
 
     The overhead gate compares two absolute wall times from the same machine,
-    so (unlike the first-occurrence policy above, which mirrors how the
-    normalized-ratio baseline was recorded) the min across repetitions is the
-    right estimator: scheduler noise only ever adds time.
+    so (unlike the median above, which serves ratios between rows) the min
+    across repetitions is the right estimator: scheduler noise only ever adds
+    time.
     """
     with results_path.open() as fh:
         data = json.load(fh)

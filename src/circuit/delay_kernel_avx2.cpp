@@ -8,43 +8,30 @@
 // Bit-identity discipline: every vector operation used here (sub/mul/add/
 // div/max) is an exactly-rounded IEEE-754 element-wise operation, i.e. it
 // produces the same bits as the corresponding scalar op in the batched
-// kernel.  pow has no exactly-rounded vector form, so it is applied
-// lane-wise through the SAME scalar libm call the other paths use.  The
-// build deliberately does NOT enable FMA (no -mfma, no fused intrinsics):
-// the baseline x86-64 target of the scalar TUs cannot contract mul+add, so
-// this TU must not either.
+// kernel.  pow is the library's own (common/detmath.hpp), and pow4 runs its
+// scalar operation sequence four lanes wide, so each lane equals the
+// batched kernel's detmath::pow by construction.  No TU enables FMA or uses
+// a fused intrinsic, and the whole build has -ffp-contract=off, so no path
+// fuses a mul+add into a differently rounded op.
 #include "circuit/delay_kernel.hpp"
 
 #if defined(AROPUF_SIMD_ENABLED) && defined(__AVX2__)
 
 #include <immintrin.h>
 
-#include <cmath>
-
 #include "common/check.hpp"
+#include "common/detmath_avx2.hpp"
 #include "device/technology.hpp"
 
 namespace aropuf::detail {
 
 namespace {
 
-/// Lane-wise scalar pow; the only per-element step without an
-/// exactly-rounded vector equivalent.
-inline __m256d pow_lanes(__m256d base, double exponent) noexcept {
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, base);
-  lanes[0] = std::pow(lanes[0], exponent);
-  lanes[1] = std::pow(lanes[1], exponent);
-  lanes[2] = std::pow(lanes[2], exponent);
-  lanes[3] = std::pow(lanes[3], exponent);
-  return _mm256_load_pd(lanes);
-}
-
 /// Four edge delays: scale / max(vdd - vth, kMinOverdrive)^alpha.
 inline __m256d edge_delays(__m256d scale, __m256d vth, __m256d vdd, __m256d min_overdrive,
-                           double alpha) noexcept {
+                           double alpha) {
   const __m256d overdrive = _mm256_max_pd(_mm256_sub_pd(vdd, vth), min_overdrive);
-  return _mm256_div_pd(scale, pow_lanes(overdrive, alpha));
+  return _mm256_div_pd(scale, detmath::detail::pow4(overdrive, alpha));
 }
 
 /// Four effective Vth values: (vth_fresh - tempco * dtemp) + sens * shift.

@@ -18,9 +18,9 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 
 #include "circuit/operating_point.hpp"
+#include "common/detmath.hpp"
 #include "common/units.hpp"
 #include "device/aging.hpp"
 #include "device/technology.hpp"
@@ -42,17 +42,19 @@ inline constexpr double kMinOverdrive = 0.05;
 /// the association `(delay_k * mobility) * vdd` matches the historical
 /// expression exactly, keeping hoisted and unhoisted callers bit-identical.
 [[nodiscard]] inline double edge_scale(const TechnologyParams& tech, OperatingPoint op) {
-  const double mobility_factor = std::pow(op.temp / tech.temp_nominal, tech.mobility_temp_exp);
+  const double mobility_factor =
+      detmath::pow(op.temp / tech.temp_nominal, tech.mobility_temp_exp);
   return tech.delay_k * mobility_factor * op.vdd;
 }
 
 /// Delay of one edge with precomputed `scale` (see edge_scale): clamps the
 /// overdrive to kMinOverdrive and applies the alpha-power law.
-/// Shared by DelayModel::edge_delay and the batched kernels.
+/// Shared by DelayModel::edge_delay and the batched kernel; the AVX2 kernel
+/// runs the same pow four lanes wide (common/detmath_avx2.hpp).
 [[nodiscard]] inline Seconds alpha_power_edge_delay(double scale, Volts vth, Volts vdd,
-                                                    double alpha) noexcept {
+                                                    double alpha) {
   const double overdrive = std::max(vdd - vth, kMinOverdrive);
-  return scale / std::pow(overdrive, alpha);
+  return scale / detmath::pow(overdrive, alpha);
 }
 
 class DelayModel {

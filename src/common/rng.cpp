@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/detmath.hpp"
+
 namespace aropuf {
 
 double Xoshiro256::gaussian() noexcept {
@@ -17,7 +19,7 @@ double Xoshiro256::gaussian() noexcept {
     v = uniform(-1.0, 1.0);
     s = u * u + v * v;
   } while (s >= 1.0 || s == 0.0);
-  const double factor = std::sqrt(-2.0 * std::log(s) / s);
+  const double factor = std::sqrt(-2.0 * detmath::log(s) / s);
   spare_ = v * factor;
   has_spare_ = true;
   return u * factor;

@@ -1,8 +1,7 @@
 #include "device/hci.hpp"
 
-#include <cmath>
-
 #include "common/check.hpp"
+#include "common/detmath.hpp"
 #include "device/technology.hpp"
 
 namespace aropuf {
@@ -14,13 +13,13 @@ HciModel::HciModel(const TechnologyParams& tech)
 
 double HciModel::temperature_weight(Kelvin temp) const {
   ARO_REQUIRE(temp > 0.0, "temperature must be in kelvin");
-  return std::exp(-(ea_ / (constants::k_boltzmann_ev * m_)) * (1.0 / temp - 1.0 / t_nominal_));
+  return detmath::exp(-(ea_ / (constants::k_boltzmann_ev * m_)) * (1.0 / temp - 1.0 / t_nominal_));
 }
 
 Volts HciModel::delta_vth_weighted(double weighted_cycles) const {
   ARO_REQUIRE(weighted_cycles >= 0.0, "switching cycles must be non-negative");
   if (weighted_cycles == 0.0) return 0.0;
-  return b_ * std::pow(weighted_cycles / kReferenceCycles, m_);
+  return b_ * detmath::pow(weighted_cycles / kReferenceCycles, m_);
 }
 
 Volts HciModel::delta_vth(double switching_cycles, Kelvin temp) const {
@@ -28,8 +27,8 @@ Volts HciModel::delta_vth(double switching_cycles, Kelvin temp) const {
   ARO_REQUIRE(temp > 0.0, "temperature must be in kelvin");
   if (switching_cycles == 0.0) return 0.0;
   const double arrhenius =
-      std::exp(-(ea_ / constants::k_boltzmann_ev) * (1.0 / temp - 1.0 / t_nominal_));
-  return b_ * arrhenius * std::pow(switching_cycles / kReferenceCycles, m_);
+      detmath::exp(-(ea_ / constants::k_boltzmann_ev) * (1.0 / temp - 1.0 / t_nominal_));
+  return b_ * arrhenius * detmath::pow(switching_cycles / kReferenceCycles, m_);
 }
 
 }  // namespace aropuf

@@ -1,8 +1,7 @@
 #include "device/nbti.hpp"
 
-#include <cmath>
-
 #include "common/check.hpp"
+#include "common/detmath.hpp"
 #include "device/technology.hpp"
 
 namespace aropuf {
@@ -30,20 +29,20 @@ Volts NbtiModel::delta_vth(Seconds effective_stress_seconds, Kelvin temp) const 
   ARO_REQUIRE(temp > 0.0, "temperature must be in kelvin");
   if (effective_stress_seconds == 0.0) return 0.0;
   const double arrhenius =
-      std::exp(-(ea_ / constants::k_boltzmann_ev) * (1.0 / temp - 1.0 / t_nominal_));
-  return a_ * arrhenius * std::pow(effective_stress_seconds, n_);
+      detmath::exp(-(ea_ / constants::k_boltzmann_ev) * (1.0 / temp - 1.0 / t_nominal_));
+  return a_ * arrhenius * detmath::pow(effective_stress_seconds, n_);
 }
 
 double NbtiModel::temperature_weight(Kelvin temp) const {
   ARO_REQUIRE(temp > 0.0, "temperature must be in kelvin");
   // arrhenius^(1/n): folding the temperature factor inside the power law.
-  return std::exp(-(ea_ / (constants::k_boltzmann_ev * n_)) * (1.0 / temp - 1.0 / t_nominal_));
+  return detmath::exp(-(ea_ / (constants::k_boltzmann_ev * n_)) * (1.0 / temp - 1.0 / t_nominal_));
 }
 
 Volts NbtiModel::delta_vth_weighted(Seconds weighted_effective_seconds) const {
   ARO_REQUIRE(weighted_effective_seconds >= 0.0, "stress time must be non-negative");
   if (weighted_effective_seconds == 0.0) return 0.0;
-  return a_ * std::pow(weighted_effective_seconds, n_);
+  return a_ * detmath::pow(weighted_effective_seconds, n_);
 }
 
 Seconds NbtiModel::effective_stress_for_shift(Volts shift, Kelvin temp) const {
@@ -51,9 +50,9 @@ Seconds NbtiModel::effective_stress_for_shift(Volts shift, Kelvin temp) const {
   ARO_REQUIRE(temp > 0.0, "temperature must be in kelvin");
   if (shift == 0.0) return 0.0;
   const double arrhenius =
-      std::exp(-(ea_ / constants::k_boltzmann_ev) * (1.0 / temp - 1.0 / t_nominal_));
+      detmath::exp(-(ea_ / constants::k_boltzmann_ev) * (1.0 / temp - 1.0 / t_nominal_));
   ARO_ASSERT(a_ > 0.0, "inverting a zero-amplitude NBTI model");
-  return std::pow(shift / (a_ * arrhenius), 1.0 / n_);
+  return detmath::pow(shift / (a_ * arrhenius), 1.0 / n_);
 }
 
 }  // namespace aropuf

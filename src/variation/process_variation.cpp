@@ -2,7 +2,20 @@
 
 #include <cmath>
 
+#include "common/detmath.hpp"
+
 namespace aropuf {
+
+namespace {
+
+/// sin(2 pi * turns + phase), with the whole turns dropped first (exactly,
+/// by floor): the argument stays in [phase, 2 pi + phase) for any array, well
+/// inside detmath::sin's domain.
+double ripple(double turns, double phase) {
+  return detmath::sin(2.0 * M_PI * (turns - std::floor(turns)) + phase);
+}
+
+}  // namespace
 
 DieVariation::DieVariation(const TechnologyParams& tech, std::uint64_t die_seed)
     : tech_(&tech),
@@ -36,8 +49,8 @@ Volts DieVariation::systematic_offset(Position p) const noexcept {
   constexpr double kGradientY = 0.02;   // per pitch
   constexpr double kRippleY = 0.32;
   constexpr double kRippleX = 0.05;
-  const double ripple_y = kRippleY * std::sin(2.0 * M_PI * p.y / wavelength + 0.9);
-  const double ripple_x = kRippleX * std::sin(2.0 * M_PI * p.x / (0.67 * wavelength) + 1.3);
+  const double ripple_y = kRippleY * ripple(p.y / wavelength, 0.9);
+  const double ripple_x = kRippleX * ripple(p.x / (0.67 * wavelength), 1.3);
   return amp * (kGradientY * p.y + ripple_y + ripple_x);
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/detmath.hpp"
 #include "common/rng.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -38,7 +39,7 @@ double anchor(std::uint64_t seed, std::int64_t ix, std::int64_t iy) noexcept {
   SplitMix64 h(seed ^ (ux * 0x9e3779b97f4a7c15ULL) ^ (uy * 0xc2b2ae3d27d4eb4fULL));
   const double u1 = (static_cast<double>(h.next() >> 11) + 0.5) * 0x1.0p-53;
   const double u2 = static_cast<double>(h.next() >> 11) * 0x1.0p-53;
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+  return std::sqrt(-2.0 * detmath::log(u1)) * detmath::cos(2.0 * M_PI * u2);
 }
 
 /// The die-independent half of evaluating a set of points: the anchor grid
@@ -110,7 +111,7 @@ bool plan_windows(double lambda, std::span<const Position> points, Windows& w) {
         const double dx = gx - static_cast<double>(ix);
         const double dy = gy - static_cast<double>(iy);
         const double d2 = dx * dx + dy * dy;
-        *weight = std::exp(-0.5 * d2);
+        *weight = detmath::exp(-0.5 * d2);
         weight_sq += *weight * *weight;
         ++weight;
       }

@@ -149,25 +149,13 @@ TEST(DeterminismTest, DesignsShareSiliconUnderSameFabric) {
 
 // The digests below pin simulated bits ACROSS commits (the tests above only
 // compare within one build): any rewrite of chip construction, of the
-// scenarios or of the shard study must reproduce them exactly.  They were recorded with the
-// per-RO spatial-field evaluation on x86-64 with glibc's libm.  The values
-// pass through exp/log/sqrt/cos/pow, so another libm's last-bit rounding, or
-// a compiler that fuses a*b + c into one FMA rounding, moves them without
-// any change here; they are checked only where they were recorded.  On every
-// platform, DieVariationTest.StaticOffsetsMatchPerPointOffsets and
-// SpatialFieldTest.BatchEvaluationMatchesPerPointOracle still compare the
-// per-die batch path with the per-point path inside one build.
-#if defined(__x86_64__) && defined(__GLIBC__)
-constexpr bool kDigestPlatform = true;
-#else
-constexpr bool kDigestPlatform = false;
-#endif
-constexpr const char* kOtherPlatform =
-    "digest recorded on x86-64 with glibc's libm; this platform may round "
-    "exp/log/cos/pow or contract FMAs differently";
+// scenarios or of the shard study must reproduce them exactly.  They hold on
+// every platform: each exp, log, sin, cos and pow on these paths is the
+// library's own (common/detmath.hpp, fixed tables, plain IEEE arithmetic),
+// sqrt is exactly rounded, and the build never fuses a*b + c into one FMA
+// rounding (-ffp-contract=off), so neither a libm nor a CPU can move a bit.
 
 TEST(DeterminismTest, ChipConstructionDigestIsPinned) {
-  if (!kDigestPlatform) GTEST_SKIP() << kOtherPlatform;
   // Every device parameter of a few chips per technology and design shape.
   // The width-7 array is 37 rows tall, so its dies touch a taller anchor
   // grid of the spatial field than the square 16-wide arrays.
@@ -194,11 +182,10 @@ TEST(DeterminismTest, ChipConstructionDigestIsPinned) {
     }
   }
   EXPECT_EQ(devices, 3U * 3U * (2U * 256U * 13U + 64U * 5U + 256U * 13U) * 2U);
-  EXPECT_EQ(digest.hex(), "28c72611d775937096210136fbaf9c54142b9b18060c1622823cc59c0529298e");
+  EXPECT_EQ(digest.hex(), "4efb564a2568046592d5acc9e51fe22010a8fab59c693c1c15dc3f512b368559");
 }
 
 TEST(DeterminismTest, ShardStudyDigestIsPinned) {
-  if (!kDigestPlatform) GTEST_SKIP() << kOtherPlatform;
   // Every per-chip series value and every pair tally of a 40-chip, 4-shard
   // E2+E3 study.
   ShardStudyConfig cfg;
@@ -241,7 +228,6 @@ void add_flips(Digest& d, const AgingSeries& s) {
 }
 
 TEST(DeterminismTest, ScenarioDigestIsPinned) {
-  if (!kDigestPlatform) GTEST_SKIP() << kOtherPlatform;
   // Every output of every population scenario (E1, E2, E3, E5, E6, E8, E10,
   // E14 and the end-of-life BER) on a 10-chip population of 128-bit designs.
   PopulationConfig pop;
@@ -293,7 +279,7 @@ TEST(DeterminismTest, ScenarioDigestIsPinned) {
       digest.add(v);
     }
   }
-  EXPECT_EQ(digest.hex(), "17c16be3c59424adeb8a51f38dad742325d3c77f8710e23df058b3a04f6e04d2");
+  EXPECT_EQ(digest.hex(), "ef7a8c12112480e32d3417d298217b98f5bb4a02a28be92d4cfd27c4eaca1601");
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/detmath.hpp"
 #include "common/rng.hpp"
 #include "common/statistics.hpp"
 #include "telemetry/metrics.hpp"
@@ -16,8 +17,8 @@ namespace aropuf {
 namespace {
 
 /// The field as it was evaluated before the batch path: every point hashes
-/// its own 7x7 window of anchors.  Kept verbatim as the oracle the batch
-/// evaluation must reproduce bit for bit.
+/// its own 7x7 window of anchors.  Kept as the oracle the batch evaluation
+/// must reproduce bit for bit, through the library's own log, cos and exp.
 double per_point_field(double sigma, double lambda, std::uint64_t seed, Position p) {
   constexpr std::int64_t kKernelRadiusCells = 3;
   const auto anchor = [&](std::int64_t ix, std::int64_t iy) {
@@ -26,7 +27,7 @@ double per_point_field(double sigma, double lambda, std::uint64_t seed, Position
     SplitMix64 h(seed ^ (ux * 0x9e3779b97f4a7c15ULL) ^ (uy * 0xc2b2ae3d27d4eb4fULL));
     const double u1 = (static_cast<double>(h.next() >> 11) + 0.5) * 0x1.0p-53;
     const double u2 = static_cast<double>(h.next() >> 11) * 0x1.0p-53;
-    return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+    return std::sqrt(-2.0 * detmath::log(u1)) * detmath::cos(2.0 * M_PI * u2);
   };
   if (sigma == 0.0) return 0.0;
   const double gx = p.x / lambda;
@@ -41,7 +42,7 @@ double per_point_field(double sigma, double lambda, std::uint64_t seed, Position
       const double dx = gx - static_cast<double>(ix);
       const double dy = gy - static_cast<double>(iy);
       const double d2 = dx * dx + dy * dy;
-      const double w = std::exp(-0.5 * d2);
+      const double w = detmath::exp(-0.5 * d2);
       weighted += w * anchor(ix, iy);
       weight_sq += w * w;
     }
