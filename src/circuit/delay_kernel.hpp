@@ -8,10 +8,11 @@
 // takes it.  This kernel evaluates ALL ring oscillators of a chip in one pass
 // over contiguous per-device arrays (fresh Vth, temperature coefficient,
 // aging sensitivity), with the operating-point-dependent prefactor hoisted
-// out of the loop — halving the libm pow() count, the dominant cost — and a
+// out of the loop — halving the pow() count, the dominant cost — and a
 // memory layout the compiler can auto-vectorize.  An explicit AVX2 path
 // (built whenever the compiler accepts -mavx2, runtime CPU dispatch, scalar
-// fallback) vectorizes the Vth/overdrive assembly.
+// fallback) vectorizes the Vth/overdrive assembly and runs pow four lanes
+// wide.
 //
 // Bit-identity contract (enforced by tests/circuit/delay_kernel_test.cpp and
 // tests/sim/kernel_equivalence_test.cpp): both kernels, batched and SIMD,
@@ -23,10 +24,13 @@
 //  * hoisted subexpressions (edge_scale, dtemp) preserve the historical
 //    association, so hoisting changes cost, not bits;
 //  * the per-RO stage reduction stays serial in stage order;
-//  * the AVX2 path uses only exactly-rounded element-wise operations
-//    (sub/mul/add/div/max) plus lane-wise scalar libm pow — and the build
-//    never enables FMA, so no path contracts a mul+add into a differently
-//    rounded fused op.
+//  * pow is the library's own (common/detmath.hpp), not libm's, and the
+//    AVX2 path's four-lane pow (common/detmath_avx2.hpp) performs the
+//    scalar pow's operations in the same order, so each lane equals it;
+//  * the AVX2 path otherwise uses only exactly-rounded element-wise
+//    operations (sub/mul/add/div/max), and the build never enables FMA
+//    and compiles with -ffp-contract=off, so no path contracts a mul+add
+//    into a differently rounded fused op.
 //
 // Backend selection is a fact of the CPU: simd when compiled in and the CPU
 // supports AVX2, else batched.  There is no switch; tests and bench_micro
