@@ -51,6 +51,10 @@ TEST(TechnologyTest, ValidationCatchesBadParameters) {
   t = TechnologyParams::cmos90();
   t.sigma_vth_local = -1e-3;
   EXPECT_THROW(t.validate(), std::invalid_argument);
+
+  t = TechnologyParams::cmos90();
+  t.mobility_temp_exp = 0.0;  // outside detmath::pow's y > 0
+  EXPECT_THROW(t.validate(), std::invalid_argument);
 }
 
 TEST(TechnologyTest, NominalFrequencyInPlausibleBand) {
