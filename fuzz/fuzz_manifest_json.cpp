@@ -1,5 +1,5 @@
 // Fuzz entry point for the JSON shard-manifest ingestion path: the exact
-// pipeline aropuf_shard runs on every worker manifest it merges.
+// pipeline aropuf_shard runs on every shard manifest it merges.
 //
 // Contract under test: arbitrary bytes through JsonValue::parse →
 // wrap_shard_manifest (structural validation) → AggregateBuilder fold either

@@ -2,8 +2,10 @@
 """Checks that the runbooks' flag tables name only flags the tools accept.
 
 Every `--flag` in the first cell of a row of a runbook table whose header
-starts with "flag" must appear in the `--help` output of the binary that
-runbook documents.  A misspelt or removed flag in the docs fails the check.
+starts with "flag" must be an option that the `--help` output of the binary
+that runbook documents lists: the leading option name of one of its lines.
+A flag that `--help` names only inside another option's description does not
+count.  A misspelt or removed flag in the docs fails the check.
 
 Usage: check_runbook_flags.py RUNBOOK.md BINARY [RUNBOOK.md BINARY ...]
 """
@@ -15,6 +17,7 @@ import subprocess
 import sys
 
 FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+HELP_OPTION = re.compile(r"\s+(--[a-z][a-z0-9-]*)")
 CELL_SPLIT = re.compile(r"(?<!\\)\|")
 
 
@@ -45,7 +48,7 @@ def help_flags(binary: str) -> set[str]:
     proc = subprocess.run([binary, "--help"], capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         sys.exit(f"{binary} --help exited {proc.returncode}")
-    return set(FLAG.findall(proc.stdout))
+    return {m.group(1) for m in map(HELP_OPTION.match, proc.stdout.splitlines()) if m}
 
 
 def main(argv: list[str]) -> int:

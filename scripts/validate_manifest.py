@@ -43,8 +43,6 @@ Usage:
   validate_manifest.py --binary shard.manifest.bin [...]  # ARPB container
   validate_manifest.py --auth-store store.arps [...]   # ARPS enrollment store
   validate_manifest.py --resource resource.jsonl [...] # resource timeline
-  validate_manifest.py --fleet-metrics fleet_metrics.json [...]
-                                                       # fleet snapshot schema
   validate_manifest.py --diff-stats [--ignore-raw-policy] a.json b.json
                                                        # bit-identity check
 
@@ -573,88 +571,6 @@ def validate_resource(path: Path) -> list[str]:
     return problems
 
 
-# fleet_metrics.json (net/fleet_view.hpp fleet_metrics_json()).
-FLEET_METRICS_SCHEMA = "aropuf-fleet-metrics"
-FLEET_METRICS_VERSION = 1
-FLEET_METRICS_KEYS = {
-    "schema": lambda v: v == FLEET_METRICS_SCHEMA,
-    "schema_version": lambda v: v == FLEET_METRICS_VERSION,
-    "run": lambda v: isinstance(v, str) and v != "",
-    "trace_id": lambda v: isinstance(v, str),
-    "created_unix_ms": lambda v: isinstance(v, (int, float)) and v > 0,
-    "elapsed_ms": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "shards": lambda v: isinstance(v, dict),
-    "workers": lambda v: isinstance(v, list),
-    "history": lambda v: isinstance(v, list),
-}
-FLEET_SHARD_KEYS = ("total", "done", "failed", "reassigned", "in_flight", "queued")
-FLEET_WORKER_KEYS = {
-    "name": lambda v: isinstance(v, str) and v != "",
-    "pid": lambda v: isinstance(v, (int, float)) and v >= 2,
-    "connected": lambda v: isinstance(v, bool),
-    "jobs_assigned": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "jobs_done": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "failed_attempts": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "snapshots": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "clock_offset_ms": lambda v: isinstance(v, (int, float)),
-    "busy_ms": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "utilization": lambda v: isinstance(v, (int, float)) and 0 <= v <= 1,
-    "straggler": lambda v: isinstance(v, bool),
-    "metrics": lambda v: isinstance(v, dict),
-}
-
-
-def validate_fleet_metrics(path: Path) -> list[str]:
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        return [fail(path, f"unreadable or invalid JSON: {e}")]
-    if not isinstance(doc, dict):
-        return [fail(path, "top level must be a JSON object")]
-    problems = []
-    for key, ok in FLEET_METRICS_KEYS.items():
-        if key not in doc:
-            problems.append(fail(path, f"missing required key '{key}'"))
-        elif not ok(doc[key]):
-            problems.append(fail(path, f"key '{key}' has invalid value {doc[key]!r}"))
-    shards = doc.get("shards", {})
-    if isinstance(shards, dict):
-        for key in FLEET_SHARD_KEYS:
-            if not isinstance(shards.get(key), (int, float)) or shards[key] < 0:
-                problems.append(fail(path, f"shards key '{key}' missing or invalid"))
-        counted = [shards.get(k) for k in ("done", "failed", "in_flight", "queued")]
-        if all(isinstance(v, (int, float)) for v in counted) and isinstance(
-                shards.get("total"), (int, float)) and sum(counted) != shards["total"]:
-            problems.append(fail(path, f"shard states sum to {sum(counted)}, "
-                                       f"total is {shards['total']}"))
-    workers = doc.get("workers", [])
-    jobs_done_sum = 0
-    if isinstance(workers, list):
-        for i, worker in enumerate(workers):
-            if not isinstance(worker, dict):
-                problems.append(fail(path, f"workers[{i}] is not an object"))
-                continue
-            for key, ok in FLEET_WORKER_KEYS.items():
-                if key not in worker:
-                    problems.append(fail(path, f"workers[{i}] missing '{key}'"))
-                elif not ok(worker[key]):
-                    problems.append(fail(path, f"workers[{i}] key '{key}' invalid"))
-            if isinstance(worker.get("jobs_done"), (int, float)):
-                jobs_done_sum += worker["jobs_done"]
-        # The acceptance invariant: per-worker accepted results account for
-        # every folded shard, reassignments included — no result is double-
-        # counted and none vanish.
-        if isinstance(shards, dict) and isinstance(shards.get("done"), (int, float)):
-            if jobs_done_sum != shards["done"]:
-                problems.append(fail(path, f"per-worker jobs_done sum to {jobs_done_sum}, "
-                                           f"shards.done is {shards['done']}"))
-    for i, entry in enumerate(doc.get("history", []) if isinstance(doc.get("history"), list)
-                              else []):
-        if not isinstance(entry, dict) or not isinstance(entry.get("event"), str):
-            problems.append(fail(path, f"history[{i}] missing event name"))
-    return problems
-
-
 def strip_raw_values(doc: dict) -> dict:
     """Drops the embedded per-chip value arrays from results.samples.
 
@@ -763,7 +679,6 @@ def main(argv: list[str]) -> int:
         "--resource": "resource",
         "--binary": "binary",
         "--auth-store": "auth-store",
-        "--fleet-metrics": "fleet-metrics",
         "--diff-stats": "diff-stats",
     }
     if args and args[0] in modes:
@@ -791,7 +706,6 @@ def main(argv: list[str]) -> int:
         "resource": validate_resource,
         "binary": validate_binary,
         "auth-store": validate_auth_store,
-        "fleet-metrics": validate_fleet_metrics,
     }[mode]
     problems = []
     for name in args:

@@ -145,12 +145,6 @@ Parser& Parser::opt_custom(const std::string& name, const std::string& value_nam
   return add(std::move(o));
 }
 
-Parser& Parser::hidden() {
-  ARO_ASSERT(!options_.empty(), "hidden() needs a preceding flag declaration");
-  options_.back().is_hidden = true;
-  return *this;
-}
-
 Parser& Parser::allow_unknown() {
   allow_unknown_ = true;
   return *this;
@@ -232,11 +226,10 @@ void Parser::print_usage(std::FILE* to) const {
   for (const Option& o : options_) {
     std::string left = o.name;
     if (!o.value_name.empty()) left += " <" + o.value_name + ">";
-    if (!o.is_hidden) width = std::max(width, left.size());
+    width = std::max(width, left.size());
     lefts.push_back(std::move(left));
   }
   for (std::size_t i = 0; i < options_.size(); ++i) {
-    if (options_[i].is_hidden) continue;
     std::fprintf(to, "  %-*s  %s\n", static_cast<int>(width), lefts[i].c_str(),
                  options_[i].help.c_str());
   }

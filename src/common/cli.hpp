@@ -61,10 +61,6 @@ class Parser {
                      const std::string& help,
                      std::function<bool(const std::string&)> parse);
 
-  /// Marks the most recently declared flag as hidden: it still parses but is
-  /// omitted from --help (internal worker-mode plumbing).
-  Parser& hidden();
-
   /// In allow-unknown mode unrecognized arguments are skipped instead of
   /// being an error.  Benches use this to stay drop-in under flag-appending
   /// harnesses; tools stay strict.
@@ -84,7 +80,6 @@ class Parser {
     std::string name;
     std::string value_name;  ///< empty for boolean flags
     std::string help;
-    bool is_hidden = false;
     std::function<bool(const std::string& value, std::string* error)> apply;
   };
 

@@ -95,7 +95,7 @@ std::string checkpoint_series_suffix(double year) {
 }
 
 ShardStudyResult run_shard_study(const ShardStudyConfig& cfg, std::size_t index,
-                                 std::size_t count, const StudyProgressFn& progress) {
+                                 std::size_t count) {
   ARO_REQUIRE(cfg.pop.chips >= 2, "study needs at least two chips");
   ARO_REQUIRE(!cfg.checkpoints.empty(), "study needs at least one aging checkpoint");
   // Strictly increasing: every checkpoint names its own series.
@@ -111,14 +111,6 @@ ShardStudyResult run_shard_study(const ShardStudyConfig& cfg, std::size_t index,
   const std::size_t years = cfg.checkpoints.size();
 
   const auto designs = study_designs();
-  // Work units for progress reporting: the chip pass, then a pair pass per
-  // design.
-  const auto units_total = static_cast<std::int64_t>(1 + designs.size());
-  std::int64_t units_done = 0;
-  const auto report = [&](const std::string& stage) {
-    ++units_done;
-    if (progress) progress(stage, units_done, units_total);
-  };
 
   auto& registry = telemetry::MetricsRegistry::global();
   registry.gauge("study.shard_chips").set(static_cast<double>(own));
@@ -175,19 +167,15 @@ ShardStudyResult run_shard_study(const ShardStudyConfig& cfg, std::size_t index,
   for (std::vector<SampleSeries>& design_series : series) {
     for (SampleSeries& s : design_series) result.samples.push_back(std::move(s));
   }
-  report("chips");
 
   // Pair passes: the shard's owned slice of the O(N^2) pair space.
   for (std::size_t d = 0; d < designs.size(); ++d) {
     const std::string& key = designs[d].first;
-    {
-      const telemetry::StageTimer stage("shard.pairs[" + key + "]");
-      PairTally tally = tally_pair_range(golden[d], pair_lo, pair_hi);
-      tally.name = "e3." + key + ".pair_hd";
-      registry.counter("study.pair_hds").add(tally.count);
-      result.tallies.push_back(std::move(tally));
-    }
-    report(key + ".pairs");
+    const telemetry::StageTimer stage("shard.pairs[" + key + "]");
+    PairTally tally = tally_pair_range(golden[d], pair_lo, pair_hi);
+    tally.name = "e3." + key + ".pair_hd";
+    registry.counter("study.pair_hds").add(tally.count);
+    result.tallies.push_back(std::move(tally));
   }
   return result;
 }
@@ -279,14 +267,13 @@ JsonValue study_shard_descriptor(const ShardStudyConfig& cfg, int index, int cou
 }
 
 std::string run_shard_job(const ShardStudyConfig& cfg, int index, int count,
-                          const std::string& run_name, bool binary,
-                          const StudyProgressFn& progress) {
+                          const std::string& run_name, bool binary) {
   telemetry::reset_run_record();
   telemetry::MetricsRegistry::global().reset();
   telemetry::MetricsRegistry::global().set_shard_index(index);
 
-  ShardStudyResult result = run_shard_study(cfg, static_cast<std::size_t>(index),
-                                            static_cast<std::size_t>(count), progress);
+  ShardStudyResult result =
+      run_shard_study(cfg, static_cast<std::size_t>(index), static_cast<std::size_t>(count));
   telemetry::set_runtime_field("shard", study_shard_descriptor(cfg, index, count));
   // Binary transport: the manifest document carries series headers only; the
   // doubles travel as packed payload blocks.  The metadata JSON must be built
@@ -298,7 +285,7 @@ std::string run_shard_job(const ShardStudyConfig& cfg, int index, int count,
     return telemetry::encode_shard_manifest(doc, study_series_binary(std::move(result)));
   }
   // Match write_manifest byte for byte (pretty print + trailing newline) so a
-  // streamed JSON result equals the file a disk-writing worker produces.
+  // JSON shard file equals the manifest write_manifest would produce.
   return doc.dump(/*indent=*/2) + '\n';
 }
 

@@ -1,10 +1,10 @@
 // Sharded E2+E3 population study: the workload behind tools/aropuf_shard.
 //
 // A statistical study over a large chip population (Wilde-style RO-PUF
-// security analysis at 10k chips) splits into S seed-range shards, each run
-// in-process or by a remote worker.  This module defines what one shard
-// computes and — critically — how the per-shard payloads recombine without
-// losing bit-identity with a single-process run:
+// security analysis at 10k chips) splits into S seed-range shards.  This
+// module defines what one shard computes and — critically — how the
+// per-shard payloads recombine without losing bit-identity with a
+// single-process run:
 //
 //  * Per-chip quantities (E2 flip percentages per aging checkpoint, E3
 //    uniformity) ship as SampleSeries: the raw per-chip doubles, tagged with
@@ -33,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,9 +87,6 @@ struct ShardStudyResult {
   std::vector<PairTally> tallies;
 };
 
-/// Progress hook: (stage label, work units done, work units total).
-using StudyProgressFn = std::function<void(const std::string&, std::int64_t, std::int64_t)>;
-
 /// The part of an E2 series name that spells checkpoint `year`:
 /// "e2.<design>.flip_percent." + this.  It is "y" and the shortest spelling
 /// that reads back as `year` (y1, y2.5, y1.0000001), so distinct checkpoints
@@ -101,13 +97,11 @@ using StudyProgressFn = std::function<void(const std::string&, std::int64_t, std
 /// Runs shard `index` of `count` shards: both designs' E2 aging series over
 /// the shard's chip range plus the E3 uniqueness tally over the shard's pair
 /// range.  Results are bit-identical for any (count, threads) decomposition
-/// once aggregated.  `progress` (optional) is invoked after each pool pass:
-/// three beats a shard.  Throws std::invalid_argument unless the checkpoints
-/// are non-negative and strictly increasing; each names its series through
+/// once aggregated.  Throws std::invalid_argument unless the checkpoints are
+/// non-negative and strictly increasing; each names its series through
 /// checkpoint_series_suffix.
 [[nodiscard]] ShardStudyResult run_shard_study(const ShardStudyConfig& cfg, std::size_t index,
-                                               std::size_t count,
-                                               const StudyProgressFn& progress = {});
+                                               std::size_t count);
 
 /// The study payload embedded in a shard manifest under "results".  With
 /// `include_values` false (the binary transport), sample series carry their
@@ -131,15 +125,13 @@ using StudyProgressFn = std::function<void(const std::string&, std::int64_t, std
 
 /// Runs shard `index` end to end and serializes its manifest to bytes —
 /// ARPB container bytes when `binary`, the pretty-printed JSON document
-/// otherwise.  These are the exact bytes tools/aropuf_shard puts on disk,
-/// whether it ran the shard itself or a fleet worker (net/worker) streamed
-/// them over TCP, which is what lets every path merge bit-identically to a
-/// single-process run.  Resets process-wide telemetry state first (run
-/// record + metrics), so each call produces an honest per-shard manifest
-/// even when one process runs many shards back to back.
-/// Throws on study failure.
+/// otherwise.  These are the exact bytes tools/aropuf_shard puts on disk and
+/// folds, the same bytes --resume later reads back, which is what lets a
+/// resumed run merge bit-identically to a single-process run.  Resets
+/// process-wide telemetry state first (run record + metrics), so each call
+/// produces an honest per-shard manifest even when one process runs many
+/// shards back to back.  Throws on study failure.
 [[nodiscard]] std::string run_shard_job(const ShardStudyConfig& cfg, int index, int count,
-                                        const std::string& run_name, bool binary,
-                                        const StudyProgressFn& progress = {});
+                                        const std::string& run_name, bool binary);
 
 }  // namespace aropuf

@@ -1,7 +1,6 @@
 // Derived reporting over a merged study aggregate: the study section and the
-// --check-single verification tools/aropuf_shard applies on both paths
-// (in-process, remote workers).  It lives here rather than in
-// the tool so it stays unit-testable.
+// --check-single verification tools/aropuf_shard applies.  It lives here
+// rather than in the tool so it stays unit-testable.
 #pragma once
 
 #include <string>
@@ -15,7 +14,7 @@ namespace aropuf {
 /// Builds the derived study section (headline numbers + the ECC/area
 /// comparison at each design's p90 provisioning BER) from the merged
 /// results.  Purely a function of the merged statistics, so it is identical
-/// for every shard decomposition — and for every transport (files or TCP).
+/// for every shard decomposition and for either transport (ARPB or JSON).
 [[nodiscard]] JsonValue build_study_section(const JsonValue& merged, const ShardStudyConfig& cfg);
 
 /// --check-single: re-runs the full population as one in-process shard and

@@ -44,7 +44,7 @@ ShardManifest validate_shard(JsonValue doc, const std::string& path) {
   }
   if (doc.string_or("run", "").empty()) fail(path, "missing run name");
   if (!doc.contains("shard") || !doc.at("shard").is_object()) {
-    fail(path, "missing 'shard' descriptor (not written by a shard worker?)");
+    fail(path, "missing 'shard' descriptor (not a shard manifest?)");
   }
   const JsonValue& shard = doc.at("shard");
   ShardManifest out;
@@ -135,10 +135,10 @@ JsonValue merge_stages(const std::vector<ShardManifest>& shards) {
   return JsonValue(std::move(out));
 }
 
-/// Folds per-shard "profile" sections (profiling layer, DESIGN.md §12):
+/// Folds per-shard "profile" sections (profiling layer, DESIGN.md §11):
 /// modes unify (all equal → that mode, else "mixed"), peak RSS takes the
 /// max, raw counters sum with IPC/cache-miss-rate re-derived from the sums,
-/// and distinct fallback reasons are collected so a downgraded worker is
+/// and distinct fallback reasons are collected so a downgraded shard is
 /// visible in the merged document.  Shards predating the profile section
 /// are skipped; with none present the merged mode is "off".
 JsonValue merge_profiles(const std::vector<ShardManifest>& shards) {

@@ -1,7 +1,7 @@
 // Shard-manifest aggregation: N per-process run manifests → one merged run.
 //
 // The sharded-run orchestrator (tools/aropuf_shard.cpp) splits a chip
-// population into seed-range shards, each worker writes an ordinary run
+// population into seed-range shards, each shard writes an ordinary run
 // manifest (telemetry/manifest.hpp) extended with a "shard" descriptor and a
 // "results" payload, and this module merges those manifests exactly:
 //
@@ -98,16 +98,15 @@ struct DecodedShard {
 /// path-prefixed message on any defect.
 [[nodiscard]] DecodedShard load_shard_input(const std::string& path);
 
-/// Same decode for container bytes already in memory — the fleet
-/// coordinator's path for RESULT frames arriving over TCP (net/coordinator),
-/// which fold without ever touching disk.  `origin` labels error messages
-/// and the manifest provenance ("tcp://worker-3", "<memory>", ...).  Both
-/// load_shard_input and this function funnel into one decoder, so a network
-/// result and a file re-read of the same bytes produce identical
-/// DecodedShards — the fleet bit-identity guarantee rests on that.
+/// Same decode for container bytes already in memory — the orchestrator's
+/// path for a shard it just ran, which folds without re-reading the file it
+/// wrote.  `origin` labels error messages and the manifest provenance
+/// ("in-process", "<memory>", ...).  Both load_shard_input and this function
+/// funnel into one decoder, so a shard folded from memory and a --resume
+/// re-read of the same bytes produce identical DecodedShards.
 [[nodiscard]] DecodedShard decode_shard_input(std::string bytes, const std::string& origin);
 
-/// Wraps an in-memory manifest document (tests, the in-process worker path).
+/// Wraps an in-memory manifest document (tests, the --check-single run).
 /// Performs the same structural validation as load_shard_input.
 [[nodiscard]] ShardManifest wrap_shard_manifest(JsonValue doc,
                                                 const std::string& path = "<memory>");

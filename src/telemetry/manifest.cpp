@@ -112,8 +112,8 @@ StageTimer::~StageTimer() {
   const double cpu_ms = static_cast<double>(std::clock() - impl_->cpu_start) * 1000.0 /
                         static_cast<double>(CLOCKS_PER_SEC);
   // Counter deltas ride along wherever the profiling layer has live
-  // counters: into the stage log, the metrics registry (so fleet METRICS
-  // snapshots carry them), and the stage's trace span args.
+  // counters: into the stage log, the metrics registry, and the stage's
+  // trace span args.
   const CounterDelta delta = impl_->counters.sample();
   JsonValue::Object counters;
   if (delta.counters_valid) counters = delta.to_json();

@@ -11,7 +11,7 @@
 //    subsystems at the point of use via set_process_field(): the thread pool
 //    registers "threads" and the delay kernel "kernel_backend".  They
 //    survive reset_run_record(), so a process that writes many manifests
-//    (in-process shard runs, fleet workers) states them in every one;
+//    (in-process shard runs) states them in every one;
 //  * runtime fields — facts about one run (e.g. a shard's coordinates and
 //    results) via set_runtime_field(); reset_run_record() clears them;
 //  * stages — StageTimer RAII scopes record wall and CPU time per named

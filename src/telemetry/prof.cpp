@@ -555,8 +555,8 @@ ProcessProfile& process_profile() {
 
 namespace {
 
-/// "%p" in the AROPUF_PROF_RESOURCE path expands to the pid so multi-process
-/// runs (aropuf_shard workers inherit the env) don't clobber one timeline.
+/// "%p" in the AROPUF_PROF_RESOURCE path expands to the pid so processes
+/// that share one environment don't clobber one timeline.
 std::string expand_pid_placeholder(std::string path) {
   const std::size_t pos = path.find("%p");
   if (pos == std::string::npos) return path;

@@ -23,7 +23,7 @@
 // AROPUF_PROF_RESOURCE starts just the sampler).  The resolved mode and —
 // for the fallback path — the reason counters are unavailable are recorded
 // in every run manifest's "profile" section, so a downgraded run is
-// distinguishable from a never-profiled one.  DESIGN.md §12 documents the
+// distinguishable from a never-profiled one.  DESIGN.md §11 documents the
 // counter set, sampling cadence, overhead budget, and fallback matrix.
 #pragma once
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
-#include <map>
 #include <mutex>
 #include <set>
 #include <vector>
@@ -31,8 +30,7 @@ struct TraceEvent {
   JsonValue::Object args;
 };
 
-/// The OS pid, so multi-process timelines merged by pid stay distinct even
-/// before the fleet view reassigns synthetic process rows.
+/// The OS pid, so traces of several processes loaded together stay distinct.
 int trace_pid() noexcept {
 #if !defined(_WIN32)
   return static_cast<int>(::getpid());
@@ -45,8 +43,6 @@ struct TraceState {
   std::atomic<bool> enabled{false};
   std::mutex mutex;
   std::string path;
-  std::string process_label = "aropuf";
-  std::map<int, std::string> thread_labels;
   std::vector<TraceEvent> events;
 
   TraceState() {
@@ -92,23 +88,19 @@ JsonValue metadata_event(const char* kind, int pid, int tid, const std::string& 
   return JsonValue(std::move(meta));
 }
 
-JsonValue events_to_json(const std::vector<TraceEvent>& events, const std::string& process_label,
-                         const std::map<int, std::string>& thread_labels) {
+JsonValue events_to_json(const std::vector<TraceEvent>& events) {
   const int pid = trace_pid();
   JsonValue::Array trace_events;
   trace_events.reserve(events.size() + 2);
   // Process/thread naming metadata makes the timeline readable in
-  // chrome://tracing and Perfetto: role-labeled process rows instead of
-  // anonymous pids, named threads instead of bare tids.
-  trace_events.emplace_back(metadata_event("process_name", pid, 0, process_label));
+  // chrome://tracing and Perfetto: a named process row and "thread <tid>"
+  // lanes.
+  trace_events.emplace_back(metadata_event("process_name", pid, 0, "aropuf"));
   std::set<int> tids;
   for (const TraceEvent& e : events) tids.insert(e.tid);
-  for (const auto& [tid, label] : thread_labels) tids.insert(tid);
   for (const int tid : tids) {
-    const auto it = thread_labels.find(tid);
-    const std::string label =
-        it != thread_labels.end() ? it->second : "thread " + std::to_string(tid);
-    trace_events.emplace_back(metadata_event("thread_name", pid, tid, label));
+    trace_events.emplace_back(
+        metadata_event("thread_name", pid, tid, "thread " + std::to_string(tid)));
   }
   for (const TraceEvent& e : events) {
     JsonValue::Object obj;
@@ -161,28 +153,13 @@ std::size_t trace_event_count() noexcept {
   return s.events.size();
 }
 
-void set_trace_process_label(const std::string& label) {
-  TraceState& s = state();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.process_label = label;
-}
-
-void set_trace_thread_label(const std::string& label) {
-  const int tid = trace_thread_id();
-  TraceState& s = state();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.thread_labels[tid] = label;
-}
-
 JsonValue::Array drain_trace_events() {
   TraceState& s = state();
   std::vector<TraceEvent> events;
-  std::map<int, std::string> thread_labels;
   {
     std::lock_guard<std::mutex> lock(s.mutex);
     if (!s.enabled.load(std::memory_order_relaxed)) return {};
     events.swap(s.events);
-    thread_labels = s.thread_labels;
   }
   JsonValue::Array out;
   out.reserve(events.size());
@@ -194,8 +171,6 @@ JsonValue::Array drain_trace_events() {
     obj["ts"] = JsonValue(e.ts_us);
     if (e.phase == 'X') obj["dur"] = JsonValue(e.dur_us);
     obj["tid"] = JsonValue(e.tid);
-    const auto label = thread_labels.find(e.tid);
-    if (label != thread_labels.end()) obj["tname"] = JsonValue(label->second);
     if (!e.args.empty()) obj["args"] = JsonValue(std::move(e.args));
     out.emplace_back(std::move(obj));
   }
@@ -213,22 +188,18 @@ double trace_epoch_unix_ms() {
 bool flush_trace() {
   TraceState& s = state();
   std::vector<TraceEvent> events;
-  std::map<int, std::string> thread_labels;
   std::string path;
-  std::string process_label;
   {
     std::lock_guard<std::mutex> lock(s.mutex);
     if (!s.enabled.load(std::memory_order_relaxed)) return true;
     s.enabled.store(false, std::memory_order_release);
     events.swap(s.events);
-    thread_labels = s.thread_labels;
-    process_label = s.process_label;
     path.swap(s.path);
   }
-  // Buffer-only session (fleet workers): ship-over-the-wire is the output;
-  // ending the session discards whatever was never drained.
+  // Buffer-only session: the caller drained what it wanted; ending the
+  // session discards whatever was never drained.
   if (path.empty()) return true;
-  const std::string json = events_to_json(events, process_label, thread_labels).dump(/*indent=*/0);
+  const std::string json = events_to_json(events).dump(/*indent=*/0);
   std::ofstream out(path, std::ios::trunc);
   if (!out.is_open()) {
     ARO_LOG_ERROR("trace", "cannot open trace output file", {"path", JsonValue(path)});

@@ -30,9 +30,10 @@ namespace aropuf::telemetry {
 void start_trace(const std::string& path);
 
 /// Starts a buffer-only session: spans are collected for
-/// drain_trace_events() but never written to a file — fleet workers ship
-/// them over the wire inside METRICS frames instead.  flush_trace() on a
-/// buffer-only session just ends it (nothing is written).
+/// drain_trace_events() but never written to a file — a caller that reads
+/// its own spans (e.g. a benchmark summing the engine's busy time) drains
+/// them instead.  flush_trace() on a buffer-only session just ends it
+/// (nothing is written).
 void start_trace_buffered();
 
 /// Writes the buffered spans as Chrome trace JSON and ends the session.
@@ -44,24 +45,16 @@ bool flush_trace();
 /// Number of spans currently buffered (tests and sanity checks).
 [[nodiscard]] std::size_t trace_event_count() noexcept;
 
-/// Sets the Chrome-trace process label emitted as the process_name metadata
-/// event ("coordinator", "worker[3] host:pid", ...).  Default: "aropuf".
-void set_trace_process_label(const std::string& label);
-
-/// Labels the calling thread in trace output (thread_name metadata event).
-/// Unlabeled threads render as "thread <tid>".
-void set_trace_thread_label(const std::string& label);
-
-/// Moves the buffered spans out as Chrome "X" event objects: name/cat/ph/
-/// ts/dur (µs on this process's steady-clock base)/tid (+ args, + "tname"
-/// when the thread is labeled).  No pid — the consumer assigns process
-/// identity when merging timelines across processes.  The session stays
-/// active; returns an empty array when no session is active.
+/// Moves the buffered spans out as Chrome event objects: name/cat/ph/ts/dur
+/// (µs on this process's steady-clock base)/tid (+ args).  No pid: the
+/// events never leave this process.  The session stays active; returns an
+/// empty array when no session is active.
 [[nodiscard]] JsonValue::Array drain_trace_events();
 
 /// Wall-clock milliseconds at this process's steady-clock zero — the anchor
-/// a consumer needs to rebase drained event timestamps onto wall time
-/// (event unix µs = trace_epoch_unix_ms()*1000 + ts).
+/// that rebases trace timestamps onto wall time (event unix µs =
+/// trace_epoch_unix_ms()*1000 + ts), e.g. for the resource sampler's
+/// timeline.
 [[nodiscard]] double trace_epoch_unix_ms();
 
 /// Stable small integer identifying the calling thread in trace output

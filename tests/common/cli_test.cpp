@@ -136,15 +136,6 @@ TEST(CliParserTest, RejectsBadValues) {
   }
 }
 
-TEST(CliParserTest, HiddenFlagsStillParse) {
-  std::string manifest;
-  Parser parser("prog", "test");
-  parser.opt_string("--manifest", &manifest, "PATH", "worker plumbing").hidden();
-  Argv argv({"prog", "--manifest=/tmp/m.json"});
-  EXPECT_EQ(parser.parse(argv.argc(), argv.argv()), ParseStatus::kOk);
-  EXPECT_EQ(manifest, "/tmp/m.json");
-}
-
 TEST(CliEnvTest, RegistryLookupsTreatEmptyAsUnset) {
   // AROPUF_TRACE is registered but only read by the trace subsystem at
   // session start, so mutating it here cannot perturb other tests.

@@ -31,7 +31,7 @@ ShardStudyConfig small_config() {
 }
 
 /// Wraps one shard's study result in the minimal manifest the aggregator
-/// accepts, mirroring what a worker process writes.
+/// accepts, mirroring what run_shard_job writes.
 telemetry::ShardManifest to_manifest(const ShardStudyConfig& cfg, std::size_t index,
                                      std::size_t count, const ShardStudyResult& result) {
   JsonValue::Object doc;
@@ -104,24 +104,6 @@ TEST(ShardStudyTest, ResultsAreThreadCountInvariant) {
   }
 }
 
-TEST(ShardStudyTest, ProgressCallbackReportsMonotonicCompletion) {
-  const ShardStudyConfig cfg = small_config();
-  std::int64_t last_done = 0;
-  std::int64_t final_total = 0;
-  std::size_t calls = 0;
-  (void)run_shard_study(cfg, 0, 2,
-                        [&](const std::string& stage, std::int64_t done, std::int64_t total) {
-                          EXPECT_FALSE(stage.empty());
-                          EXPECT_GE(done, last_done);
-                          EXPECT_LE(done, total);
-                          last_done = done;
-                          final_total = total;
-                          ++calls;
-                        });
-  EXPECT_GT(calls, 0u);
-  EXPECT_EQ(last_done, final_total);
-}
-
 TEST(ShardStudyTest, BuildsEachDieOnceAndReusesItsOwnGoldenReads) {
   // One chip pass builds every die once, under the first design, and reads
   // it fresh as both designs; the shard's own chips age through every
@@ -145,9 +127,9 @@ TEST(ShardStudyTest, BuildsEachDieOnceAndReusesItsOwnGoldenReads) {
 }
 
 TEST(ShardStudyTest, EveryShardJobOfOneProcessRecordsThePoolSize) {
-  // Each job resets the run record, as in-process shard runs and fleet
-  // workers do between jobs; the pool exists from the first job on, so only
-  // a process field brings its size into the second job's manifest.
+  // Each job resets the run record, as in-process shard runs do between
+  // shards; the pool exists from the first job on, so only a process field
+  // brings its size into the second job's manifest.
   const ShardStudyConfig cfg = small_config();
   const int threads = ParallelExecutor::global().thread_count();
   for (const int index : {0, 1}) {

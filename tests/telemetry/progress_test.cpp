@@ -2,39 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 namespace aropuf::telemetry {
 namespace {
-
-TEST(HeartbeatTest, JsonRoundTrip) {
-  Heartbeat beat;
-  beat.ts_unix_ms = 1722945600123;
-  beat.shard = 3;
-  beat.stage = "e2.aro.y10";
-  beat.done = 7;
-  beat.total = 22;
-  beat.elapsed_ms = 451.25;
-  const Heartbeat back = heartbeat_from_json(heartbeat_to_json(beat));
-  EXPECT_EQ(back.ts_unix_ms, beat.ts_unix_ms);
-  EXPECT_EQ(back.shard, beat.shard);
-  EXPECT_EQ(back.stage, beat.stage);
-  EXPECT_EQ(back.done, beat.done);
-  EXPECT_EQ(back.total, beat.total);
-  EXPECT_EQ(back.elapsed_ms, beat.elapsed_ms);
-}
-
-TEST(HeartbeatTest, RejectsOutOfRangeFields) {
-  Heartbeat beat;
-  beat.stage = "x";
-  beat.done = 5;
-  beat.total = 3;  // done > total
-  EXPECT_THROW((void)heartbeat_from_json(heartbeat_to_json(beat)), std::exception);
-  beat.done = 1;
-  beat.total = 3;
-  beat.shard = -2;
-  EXPECT_THROW((void)heartbeat_from_json(heartbeat_to_json(beat)), std::exception);
-}
 
 TEST(EtaEstimatorTest, FreshRunMatchesLinearExtrapolation) {
   EtaEstimator eta;

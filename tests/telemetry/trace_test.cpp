@@ -94,16 +94,16 @@ TEST(TraceTest, SpansRecordTheirThreadIds) {
 }
 
 TEST(TraceTest, ProcessAndThreadLabelsFlowIntoMetadataEvents) {
+  // Every trace names its process "aropuf" and each thread "thread <tid>".
   const std::string path = ::testing::TempDir() + "aropuf_trace_labels.json";
   start_trace(path);
-  set_trace_process_label("worker host:7");
-  set_trace_thread_label("worker main");
   {
     const TraceScope span("labeled", "test");
   }
   ASSERT_TRUE(flush_trace());
 
   const JsonValue doc = JsonValue::parse(read_file(path));
+  const std::string thread_label = "thread " + std::to_string(trace_thread_id());
   bool saw_process = false;
   bool saw_thread = false;
   for (const JsonValue& event : doc.as_object().at("traceEvents").as_array()) {
@@ -112,11 +112,11 @@ TEST(TraceTest, ProcessAndThreadLabelsFlowIntoMetadataEvents) {
     const std::string label = e.at("args").as_object().at("name").as_string();
     if (e.at("name").as_string() == "process_name") {
       saw_process = true;
-      EXPECT_EQ(label, "worker host:7");
+      EXPECT_EQ(label, "aropuf");
     }
     if (e.at("name").as_string() == "thread_name") {
       saw_thread = true;
-      EXPECT_EQ(label, "worker main");
+      EXPECT_EQ(label, thread_label);
     }
   }
   EXPECT_TRUE(saw_process);
@@ -125,13 +125,12 @@ TEST(TraceTest, ProcessAndThreadLabelsFlowIntoMetadataEvents) {
 }
 
 TEST(TraceTest, BufferedSessionDrainsEventsForTheWire) {
-  // The fleet worker path: no file, spans accumulate in memory and ship
-  // inside METRICS frames via drain_trace_events().
+  // No file: spans accumulate in memory until the caller drains them with
+  // drain_trace_events().
   start_trace_buffered();
   ASSERT_TRUE(trace_enabled());
-  set_trace_thread_label("worker main");
   {
-    const TraceScope span("shippable", "fleet");
+    const TraceScope span("shippable", "test");
   }
   EXPECT_EQ(trace_event_count(), 1U);
 
@@ -140,10 +139,9 @@ TEST(TraceTest, BufferedSessionDrainsEventsForTheWire) {
   const auto& e = drained[0].as_object();
   EXPECT_EQ(e.at("name").as_string(), "shippable");
   EXPECT_EQ(e.at("ph").as_string(), "X");
-  // Wire form: steady-clock ts + transport-only thread label, NO pid — the
-  // coordinator's merge assigns the synthetic one.
+  // Drained form: steady-clock ts and tid, no pid.
   EXPECT_FALSE(e.contains("pid"));
-  EXPECT_EQ(e.at("tname").as_string(), "worker main");
+  EXPECT_EQ(e.at("tid").as_number(), trace_thread_id());
 
   // Draining empties the buffer without ending the session.
   EXPECT_EQ(trace_event_count(), 0U);
@@ -156,7 +154,8 @@ TEST(TraceTest, BufferedSessionDrainsEventsForTheWire) {
 
 TEST(TraceTest, TraceEpochAnchorsSteadyTimestampsToWallClock) {
   // epoch + steady_now_us()/1000 must reconstruct "now" to within a coarse
-  // tolerance — this is the invariant the fleet timeline merge relies on.
+  // tolerance — this is the invariant the resource sampler's timeline relies
+  // on.
   const double epoch_ms = trace_epoch_unix_ms();
   const double reconstructed_ms =
       epoch_ms + static_cast<double>(steady_now_us()) / 1000.0;

@@ -39,7 +39,6 @@ struct Options {
   std::string html_path;
   std::string md_path;
   std::string dump_path;
-  std::string fleet_metrics_path;
 };
 
 int parse_args(int argc, char** argv, Options* opt) {
@@ -51,9 +50,7 @@ int parse_args(int argc, char** argv, Options* opt) {
       .opt_string("--html", &opt->html_path, "PATH", "HTML output path")
       .opt_string("--md", &opt->md_path, "PATH", "Markdown output path")
       .opt_string("--dump", &opt->dump_path, "PATH",
-                  "decode a shard manifest (JSON or binary) and print it as JSON")
-      .opt_string("--fleet-metrics", &opt->fleet_metrics_path, "PATH",
-                  "fleet_metrics.json from aropuf_shard: adds a fleet-health section");
+                  "decode a shard manifest (JSON or binary) and print it as JSON");
   switch (parser.parse(argc, argv)) {
     case cli::ParseStatus::kHelp:
       std::exit(0);
@@ -234,107 +231,10 @@ std::string svg_histogram(const JsonValue& hist, const std::string& title) {
   return svg.str();
 }
 
-// --- fleet health (shared between HTML and Markdown) ------------------------
-
-/// History events worth surfacing in the report: the reassignment/failure
-/// audit trail, not the routine connect/dispatch chatter.
-bool is_incident(const std::string& event) {
-  return event == "retry" || event == "fail" || event == "timeout" ||
-         event == "disconnect";
-}
-
-void emit_fleet_health(std::ostringstream& out, const JsonValue& fleet, bool html) {
-  if (!fleet.is_object()) return;
-  const JsonValue empty_obj{JsonValue::Object{}};
-  const JsonValue& shards = fleet.contains("shards") ? fleet.at("shards") : empty_obj;
-  const double elapsed_s = fleet.number_or("elapsed_ms", 0.0) / 1000.0;
-  const std::string summary =
-      fmt_g(shards.number_or("done", 0.0)) + "/" + fmt_g(shards.number_or("total", 0.0)) +
-      " shards done, " + fmt_g(shards.number_or("failed", 0.0)) + " failed, " +
-      fmt_g(shards.number_or("reassigned", 0.0)) + " reassigned in " + fmt(elapsed_s, 1) +
-      " s (trace id `" + fleet.string_or("trace_id", "?") + "`)";
-
-  if (html) {
-    out << "<h2>Fleet health</h2>\n<p>" << escape_html(summary) << "</p>\n";
-    out << "<table>\n<tr><th>worker</th><th>jobs done/assigned</th><th>retries</th>"
-        << "<th>utilization</th><th>busy (ms)</th><th>clock offset (ms)</th>"
-        << "<th>snapshots</th><th>flags</th></tr>\n";
-  } else {
-    out << "\n## Fleet health\n\n" << summary << "\n\n";
-    out << "| worker | jobs done/assigned | retries | utilization | busy (ms) "
-        << "| clock offset (ms) | snapshots | flags |\n|---|---|---|---|---|---|---|---|\n";
-  }
-  if (fleet.contains("workers") && fleet.at("workers").is_array()) {
-    for (const JsonValue& w : fleet.at("workers").as_array()) {
-      if (!w.is_object()) continue;
-      const std::string jobs =
-          fmt_g(w.number_or("jobs_done", 0.0)) + "/" + fmt_g(w.number_or("jobs_assigned", 0.0));
-      const std::string util = fmt(w.number_or("utilization", 0.0) * 100.0, 1) + "%";
-      std::string flags;
-      if (w.contains("straggler") && w.at("straggler").as_bool()) flags += "straggler ";
-      if (w.contains("connected") && !w.at("connected").as_bool()) flags += "disconnected";
-      if (flags.empty()) flags = "-";
-      if (html) {
-        out << "<tr><td><code>" << escape_html(w.string_or("name", "?")) << "</code></td><td>"
-            << jobs << "</td><td>" << fmt_g(w.number_or("failed_attempts", 0.0)) << "</td><td>"
-            << util << "</td><td>" << fmt(w.number_or("busy_ms", 0.0), 1) << "</td><td>"
-            << fmt(w.number_or("clock_offset_ms", 0.0), 1) << "</td><td>"
-            << fmt_g(w.number_or("snapshots", 0.0)) << "</td><td>" << escape_html(flags)
-            << "</td></tr>\n";
-      } else {
-        out << "| `" << w.string_or("name", "?") << "` | " << jobs << " | "
-            << fmt_g(w.number_or("failed_attempts", 0.0)) << " | " << util << " | "
-            << fmt(w.number_or("busy_ms", 0.0), 1) << " | "
-            << fmt(w.number_or("clock_offset_ms", 0.0), 1) << " | "
-            << fmt_g(w.number_or("snapshots", 0.0)) << " | " << flags << " |\n";
-      }
-    }
-  }
-  if (html) out << "</table>\n";
-
-  // Incident history: retries, failures, timeouts, disconnects (most recent
-  // last, capped so a retry storm cannot balloon the report).
-  std::vector<const JsonValue*> incidents;
-  if (fleet.contains("history") && fleet.at("history").is_array()) {
-    for (const JsonValue& e : fleet.at("history").as_array()) {
-      if (e.is_object() && is_incident(e.string_or("event", ""))) incidents.push_back(&e);
-    }
-  }
-  constexpr std::size_t kMaxIncidents = 25;
-  const std::size_t skip = incidents.size() > kMaxIncidents
-                               ? incidents.size() - kMaxIncidents
-                               : 0;
-  if (incidents.empty()) {
-    out << (html ? "<p class=\"ok\">No retries, timeouts, or disconnects.</p>\n"
-                 : "\nNo retries, timeouts, or disconnects.\n");
-  } else {
-    if (html) {
-      out << "<h3>Reassignment / retry history</h3>\n";
-      if (skip > 0) out << "<p>(" << skip << " earlier entries omitted)</p>\n";
-      out << "<ul>\n";
-    } else {
-      out << "\n### Reassignment / retry history\n\n";
-      if (skip > 0) out << "(" << skip << " earlier entries omitted)\n\n";
-    }
-    for (std::size_t i = skip; i < incidents.size(); ++i) {
-      const JsonValue& e = *incidents[i];
-      const std::string line = e.string_or("event", "?") + " shard " +
-                               fmt_g(e.number_or("shard", -1.0)) + ": " +
-                               e.string_or("detail", "");
-      if (html) {
-        out << "<li class=\"conflict\">" << escape_html(line) << "</li>\n";
-      } else {
-        out << "- " << line << "\n";
-      }
-    }
-    if (html) out << "</ul>\n";
-  }
-}
-
 // --- HTML -------------------------------------------------------------------
 
 /// "Resource profile" section from the aggregate's merged "profile"
-/// section (profiling layer, DESIGN.md §12): mode + peak RSS always,
+/// section (profiling layer, DESIGN.md §11): mode + peak RSS always,
 /// counter totals and a per-shard breakdown when the run was profiled.
 /// Omitted entirely for aggregates that predate the section.
 void emit_resource_profile(std::ostringstream& out, const JsonValue& doc, bool html) {
@@ -435,7 +335,7 @@ void emit_series_summary_rows(std::ostringstream& out, const JsonValue& section,
   }
 }
 
-std::string render_html(const JsonValue& doc, const JsonValue& fleet) {
+std::string render_html(const JsonValue& doc) {
   std::ostringstream out;
   const std::string run = escape_html(doc.string_or("run", "?"));
   out << "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">\n"
@@ -495,7 +395,6 @@ std::string render_html(const JsonValue& doc, const JsonValue& fleet) {
     }
     out << "</table>\n";
   }
-  emit_fleet_health(out, fleet, /*html=*/true);
   emit_resource_profile(out, doc, /*html=*/true);
 
   if (doc.contains("stages") && doc.at("stages").is_array()) {
@@ -537,7 +436,7 @@ std::string render_html(const JsonValue& doc, const JsonValue& fleet) {
 
 // --- Markdown ---------------------------------------------------------------
 
-std::string render_markdown(const JsonValue& doc, const JsonValue& fleet) {
+std::string render_markdown(const JsonValue& doc) {
   std::ostringstream out;
   out << "# ARO-PUF sharded run report\n\n";
   out << "- run: `" << doc.string_or("run", "?") << "`\n";
@@ -575,7 +474,6 @@ std::string render_markdown(const JsonValue& doc, const JsonValue& fleet) {
           << " |\n";
     }
   }
-  emit_fleet_health(out, fleet, /*html=*/false);
   emit_resource_profile(out, doc, /*html=*/false);
 
   if (doc.contains("stages") && doc.at("stages").is_array()) {
@@ -638,26 +536,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  JsonValue fleet;  // stays non-object (section omitted) unless loaded below
-  if (!opt.fleet_metrics_path.empty()) {
-    try {
-      std::ifstream in(opt.fleet_metrics_path, std::ios::binary);
-      if (!in.is_open()) throw std::runtime_error("cannot open file");
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      fleet = JsonValue::parse(buffer.str());
-      if (fleet.string_or("schema", "") != "aropuf-fleet-metrics") {
-        throw std::runtime_error("not a fleet-metrics document (schema=" +
-                                 fleet.string_or("schema", "?") + ")");
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "aropuf_report: %s: %s\n", opt.fleet_metrics_path.c_str(), e.what());
-      return 1;
-    }
-  }
-
-  if (!opt.html_path.empty() && !write_file(opt.html_path, render_html(doc, fleet))) return 1;
-  if (!opt.md_path.empty() && !write_file(opt.md_path, render_markdown(doc, fleet))) return 1;
+  if (!opt.html_path.empty() && !write_file(opt.html_path, render_html(doc))) return 1;
+  if (!opt.md_path.empty() && !write_file(opt.md_path, render_markdown(doc))) return 1;
   std::printf("aropuf_report: report written (%s%s%s)\n",
               opt.html_path.empty() ? "" : opt.html_path.c_str(),
               (!opt.html_path.empty() && !opt.md_path.empty()) ? ", " : "",
