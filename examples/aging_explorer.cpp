@@ -5,10 +5,11 @@
 // flip rate climb from the noise floor back toward the conventional value.
 //
 //   $ ./aging_explorer [--years Y] [--chips N]   (defaults: 10 years, 15 chips)
-//   $ ./aging_explorer --config pop.json [--years Y]
+//   $ ./aging_explorer --config examples/population.json [--years Y]
 //
 // With --config, the population (technology overrides, chip count, seed)
 // comes from a JSON file; see src/sim/experiment_config.hpp for the schema.
+// An unreadable or invalid file exits 1 with "config error".
 #include <cstdio>
 #include <exception>
 #include <iostream>

@@ -294,19 +294,21 @@ def validate_aggregate(path: Path) -> list[str]:
         if len(doc["shards"]) != doc["shard_count"]:
             problems.append(fail(path, "shards[] length disagrees with shard_count"))
 
-    # Gauges carry their merge policy and every shard's reading; the resolved
-    # value must be one of the per-shard readings (never an average).
+    # Gauges resolve to the max of every shard's reading (never an average),
+    # and carry those readings for audit.
     for name, gauge in doc.get("metrics", {}).get("gauges", {}).items():
         if not isinstance(gauge, dict):
             problems.append(fail(path, f"gauge '{name}' is not an object"))
             continue
-        if gauge.get("policy") not in ("max", "last"):
+        if gauge.get("policy") != "max":
             problems.append(fail(path, f"gauge '{name}' has unknown policy"))
         per_shard = gauge.get("per_shard")
         if not isinstance(per_shard, dict) or not per_shard:
             problems.append(fail(path, f"gauge '{name}' missing per_shard readings"))
-        elif gauge.get("value") not in per_shard.values():
-            problems.append(fail(path, f"gauge '{name}' value is not any shard's reading"))
+        elif not all(isinstance(v, (int, float)) for v in per_shard.values()):
+            problems.append(fail(path, f"gauge '{name}' has a non-numeric reading"))
+        elif gauge.get("value") != max(per_shard.values()):
+            problems.append(fail(path, f"gauge '{name}' value is not the max shard reading"))
 
     # v2 carries the raw-series disposition marker, and the marker must agree
     # with what the sample series actually contain: "kept" means every series

@@ -44,21 +44,6 @@ Enrollment FuzzyExtractor::enroll(const BitVector& golden_response, Xoshiro256& 
   return e;
 }
 
-std::optional<BitVector> FuzzyExtractor::refresh_helper_data(
-    const BitVector& current_response, const BitVector& old_helper_data) const {
-  ARO_REQUIRE(current_response.size() == response_bits(),
-              "response length must match the scheme's raw bits");
-  ARO_REQUIRE(old_helper_data.size() == response_bits(), "helper data length mismatch");
-  KeygenTelemetry& telem = KeygenTelemetry::get();
-  telem.decode_attempts.add(1);
-  const auto secret = code_.decode(current_response ^ old_helper_data);
-  if (!secret.has_value()) {
-    telem.decode_failures.add(1);
-    return std::nullopt;
-  }
-  return current_response ^ code_.encode(*secret);
-}
-
 std::optional<Sha256::Digest> FuzzyExtractor::reconstruct(const BitVector& response,
                                                           const BitVector& helper_data) const {
   ARO_REQUIRE(response.size() == response_bits(),

@@ -45,15 +45,6 @@ class FuzzyExtractor {
   [[nodiscard]] std::optional<Sha256::Digest> reconstruct(const BitVector& response,
                                                           const BitVector& helper_data) const;
 
-  /// Helper-data refresh (key maintenance): recovers the secret through the
-  /// old helper data and re-binds it to the *current* response, so future
-  /// reconstructions only have to absorb drift accumulated since this
-  /// refresh rather than since enrollment.  The key is unchanged; only the
-  /// public helper data rotates.  std::nullopt when the old helper data can
-  /// no longer decode (refresh came too late).
-  [[nodiscard]] std::optional<BitVector> refresh_helper_data(
-      const BitVector& current_response, const BitVector& old_helper_data) const;
-
   [[nodiscard]] const ConcatenatedCode& code() const noexcept { return code_; }
 
  private:

@@ -1,16 +1,12 @@
-// HMAC-SHA256 (RFC 2104) and HKDF (RFC 5869), from scratch on Sha256.
+// HMAC-SHA256 (RFC 2104), from scratch on Sha256.
 //
-// A PUF-derived device key is a *root* secret; applications need per-session
-// and per-purpose keys derived from it without ever exposing it.  HKDF's
-// extract-and-expand is the standard construction: the E9/auth examples use
-// it to turn one reconstructed 256-bit key into any number of labelled
-// subkeys.
+// The verifier tags every enrollment record and confirms every
+// reconstructed key with it, so a caller with a fixed key keys one object
+// and reuses its midstates.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string_view>
-#include <vector>
 
 #include "keygen/sha256.hpp"
 
@@ -36,20 +32,5 @@ class HmacSha256 {
 /// HMAC-SHA256 of `message` under `key`: HmacSha256(key).mac(message).
 [[nodiscard]] Sha256::Digest hmac_sha256(std::span<const std::uint8_t> key,
                                          std::span<const std::uint8_t> message);
-
-/// HKDF-Extract: (salt, input keying material) -> pseudorandom key.
-[[nodiscard]] Sha256::Digest hkdf_extract(std::span<const std::uint8_t> salt,
-                                          std::span<const std::uint8_t> ikm);
-
-/// HKDF-Expand: pseudorandom key + context info -> `length` output bytes
-/// (length <= 255 * 32).
-[[nodiscard]] std::vector<std::uint8_t> hkdf_expand(const Sha256::Digest& prk,
-                                                    std::span<const std::uint8_t> info,
-                                                    std::size_t length);
-
-/// Convenience: derive a labelled subkey from a PUF root key.
-[[nodiscard]] std::vector<std::uint8_t> derive_subkey(const Sha256::Digest& root_key,
-                                                      std::string_view label,
-                                                      std::size_t length = 32);
 
 }  // namespace aropuf

@@ -1,6 +1,9 @@
 #include "sim/experiment_config.hpp"
 
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,14 +13,20 @@ namespace aropuf {
 
 namespace {
 
-const char* pairing_name(PairingStrategy s) { return to_string(s); }
+/// 2^53: seeds up to it are the integers a JSON double holds exactly.
+constexpr std::uint64_t kMaxJsonSeed = std::uint64_t{1} << 53;
 
-PairingStrategy pairing_from_name(const std::string& name) {
-  if (name == "adjacent-dedicated") return PairingStrategy::kAdjacentDedicated;
-  if (name == "distant-dedicated") return PairingStrategy::kDistantDedicated;
-  if (name == "chain-neighbor") return PairingStrategy::kChainNeighbor;
-  if (name == "random-challenge") return PairingStrategy::kRandomChallenge;
-  throw std::invalid_argument("unknown pairing strategy: " + name);
+/// Reads `key` as an integer in [lo, hi], or `fallback` when absent.  JSON
+/// numbers are doubles, so a fractional or out-of-range value is an error
+/// rather than a truncating (or undefined) cast.
+double integer_or(const JsonValue& v, const std::string& key, double fallback, double lo,
+                  double hi) {
+  const double x = v.number_or(key, fallback);
+  if (!(x >= lo && x <= hi) || x != std::floor(x)) {
+    throw std::invalid_argument(key + " must be an integer in [" + JsonValue(lo).dump() + ", " +
+                                JsonValue(hi).dump() + "], got " + JsonValue(x).dump());
+  }
+  return x;
 }
 
 }  // namespace
@@ -108,75 +117,18 @@ TechnologyParams technology_from_json(const JsonValue& v) {
   t.area_ge_um2 = v.number_or("area_ge_um2", t.area_ge_um2);
   t.area_ro_cell_ge = v.number_or("area_ro_cell_ge", t.area_ro_cell_ge);
   t.area_counter_bit_ge = v.number_or("area_counter_bit_ge", t.area_counter_bit_ge);
-  t.counter_bits = static_cast<int>(v.number_or("counter_bits", t.counter_bits));
+  t.counter_bits = static_cast<int>(integer_or(v, "counter_bits", t.counter_bits,
+                                               std::numeric_limits<int>::min(),
+                                               std::numeric_limits<int>::max()));
   t.validate();
   return t;
-}
-
-JsonValue to_json(const StressProfile& p) {
-  JsonValue::Object o;
-  o["name"] = p.name;
-  o["oscillation_fraction"] = p.oscillation_fraction;
-  o["nbti_duty"] = p.nbti_duty;
-  o["recovery_enabled"] = p.recovery_enabled;
-  o["stress_temperature"] = p.stress_temperature;
-  return JsonValue(std::move(o));
-}
-
-StressProfile stress_profile_from_json(const JsonValue& v) {
-  StressProfile p = StressProfile::conventional_always_on();
-  p.name = v.string_or("name", p.name);
-  p.oscillation_fraction = v.number_or("oscillation_fraction", p.oscillation_fraction);
-  p.nbti_duty = v.number_or("nbti_duty", p.nbti_duty);
-  p.recovery_enabled = v.bool_or("recovery_enabled", p.recovery_enabled);
-  p.stress_temperature = v.number_or("stress_temperature", p.stress_temperature);
-  p.validate();
-  return p;
-}
-
-JsonValue to_json(const PufConfig& c) {
-  JsonValue::Object o;
-  o["design"] = std::string(to_string(c.design));
-  o["label"] = c.label;
-  o["num_ros"] = c.num_ros;
-  o["stages"] = c.stages;
-  o["array_width"] = c.array_width;
-  o["measurement_window"] = c.measurement_window;
-  o["pairing"] = std::string(pairing_name(c.pairing));
-  o["challenge_seed"] = static_cast<double>(c.challenge_seed);
-  o["lifetime_profile"] = to_json(c.lifetime_profile);
-  return JsonValue(std::move(o));
-}
-
-PufConfig puf_config_from_json(const JsonValue& v) {
-  // Base design selects the factory; explicit keys override.
-  const std::string design = v.string_or("design", "ARO-PUF");
-  PufConfig c;
-  if (design == "conventional RO-PUF") {
-    c = PufConfig::conventional();
-  } else if (design == "ARO-PUF") {
-    c = PufConfig::aro();
-  } else {
-    c.design = PufDesign::kCustom;
-  }
-  c.label = v.string_or("label", c.label);
-  c.num_ros = static_cast<int>(v.number_or("num_ros", c.num_ros));
-  c.stages = static_cast<int>(v.number_or("stages", c.stages));
-  c.array_width = static_cast<int>(v.number_or("array_width", c.array_width));
-  c.measurement_window = v.number_or("measurement_window", c.measurement_window);
-  if (v.contains("pairing")) c.pairing = pairing_from_name(v.at("pairing").as_string());
-  c.challenge_seed = static_cast<std::uint64_t>(v.number_or("challenge_seed", 0.0));
-  if (v.contains("lifetime_profile")) {
-    c.lifetime_profile = stress_profile_from_json(v.at("lifetime_profile"));
-  }
-  c.validate();
-  return c;
 }
 
 JsonValue to_json(const PopulationConfig& pop) {
   JsonValue::Object o;
   o["technology"] = to_json(pop.tech);
   o["chips"] = pop.chips;
+  ARO_REQUIRE(pop.seed <= kMaxJsonSeed, "a seed above 2^53 has no exact JSON number");
   o["seed"] = static_cast<double>(pop.seed);
   return JsonValue(std::move(o));
 }
@@ -184,9 +136,11 @@ JsonValue to_json(const PopulationConfig& pop) {
 PopulationConfig population_from_json(const JsonValue& v) {
   PopulationConfig pop;
   if (v.contains("technology")) pop.tech = technology_from_json(v.at("technology"));
-  pop.chips = static_cast<int>(v.number_or("chips", pop.chips));
-  pop.seed = static_cast<std::uint64_t>(v.number_or("seed", static_cast<double>(pop.seed)));
-  ARO_REQUIRE(pop.chips >= 1, "population must have at least one chip");
+  pop.chips =
+      static_cast<int>(integer_or(v, "chips", pop.chips, 1, std::numeric_limits<int>::max()));
+  pop.seed = static_cast<std::uint64_t>(
+      integer_or(v, "seed", static_cast<double>(pop.seed), 0,
+                 static_cast<double>(kMaxJsonSeed)));
   return pop;
 }
 

@@ -1,28 +1,22 @@
-// JSON (de)serialization of experiment configurations.
+// JSON (de)serialization of population configurations.
 //
-// A study is fully described by (TechnologyParams, PufConfig,
-// PopulationConfig); these bindings let studies live in checked-in config
-// files.  Serialization is total (every field), deserialization is
+// A population study is described by a PopulationConfig (technology, chip
+// count, seed); these bindings let it live in a checked-in config file.
+// Serialization is total (every field), deserialization is
 // default-tolerant (missing keys keep the in-code defaults) but
-// type-strict, and every load ends in validate().
+// type-strict: integer keys must hold an exact in-range integer, and the
+// technology ends in validate().
 #pragma once
 
 #include <string>
 
 #include "common/json.hpp"
-#include "puf/puf_config.hpp"
 #include "sim/scenarios.hpp"
 
 namespace aropuf {
 
 [[nodiscard]] JsonValue to_json(const TechnologyParams& tech);
 [[nodiscard]] TechnologyParams technology_from_json(const JsonValue& v);
-
-[[nodiscard]] JsonValue to_json(const StressProfile& profile);
-[[nodiscard]] StressProfile stress_profile_from_json(const JsonValue& v);
-
-[[nodiscard]] JsonValue to_json(const PufConfig& config);
-[[nodiscard]] PufConfig puf_config_from_json(const JsonValue& v);
 
 [[nodiscard]] JsonValue to_json(const PopulationConfig& pop);
 [[nodiscard]] PopulationConfig population_from_json(const JsonValue& v);

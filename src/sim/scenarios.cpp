@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "common/check.hpp"
-#include "metrics/reliability.hpp"
 #include "metrics/uniformity.hpp"
 #include "puf/masking.hpp"
 #include "puf/ro_puf.hpp"

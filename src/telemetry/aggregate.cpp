@@ -227,32 +227,25 @@ JsonValue merge_counters(const std::vector<ShardManifest>& shards) {
 }
 
 JsonValue merge_gauges(const std::vector<ShardManifest>& shards) {
-  struct GaugeMerge {
-    std::map<int, double> per_shard;
-  };
-  std::map<std::string, GaugeMerge> merges;
+  std::map<std::string, std::map<int, double>> readings;  // name -> shard index -> value
   for (const ShardManifest& s : shards) {
     if (const JsonValue* gauges = metrics_section(s, "gauges")) {
       for (const auto& [name, v] : gauges->as_object()) {
-        if (v.is_number()) merges[name].per_shard[s.shard_index] = v.as_number();
+        if (v.is_number()) readings[name][s.shard_index] = v.as_number();
       }
     }
   }
   JsonValue::Object out;
-  for (const auto& [name, m] : merges) {
-    const GaugePolicy policy = gauge_merge_policy(name);
-    double resolved = 0.0;
-    if (policy == GaugePolicy::kLast) {
-      resolved = m.per_shard.rbegin()->second;  // highest shard index present
-    } else {
-      resolved = m.per_shard.begin()->second;
-      for (const auto& [shard, v] : m.per_shard) resolved = std::max(resolved, v);
+  for (const auto& [name, by_shard] : readings) {
+    double resolved = by_shard.begin()->second;
+    JsonValue::Object per_shard;
+    for (const auto& [shard, v] : by_shard) {
+      resolved = std::max(resolved, v);
+      per_shard[std::to_string(shard)] = JsonValue(v);
     }
     JsonValue::Object obj;
-    obj["policy"] = JsonValue(policy == GaugePolicy::kLast ? "last" : "max");
+    obj["policy"] = JsonValue("max");
     obj["value"] = JsonValue(resolved);
-    JsonValue::Object per_shard;
-    for (const auto& [shard, v] : m.per_shard) per_shard[std::to_string(shard)] = JsonValue(v);
     obj["per_shard"] = JsonValue(std::move(per_shard));
     out[name] = JsonValue(std::move(obj));
   }
@@ -496,17 +489,6 @@ JsonValue merge_tallies(const std::vector<ShardManifest>& shards) {
 }
 
 }  // namespace
-
-GaugePolicy gauge_merge_policy(const std::string& name) {
-  // ".last" names are explicit end-of-run facts (highest shard index wins);
-  // everything else resolves to the max across shards.  Documented on Gauge.
-  const std::string suffix = ".last";
-  if (name.size() >= suffix.size() &&
-      name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0) {
-    return GaugePolicy::kLast;
-  }
-  return GaugePolicy::kMax;
-}
 
 ShardManifest wrap_shard_manifest(JsonValue doc, const std::string& path) {
   return validate_shard(std::move(doc), path);

@@ -6,9 +6,9 @@
 // "results" payload, and this module merges those manifests exactly:
 //
 //  * counters      — summed (exact: counts are integers);
-//  * gauges        — resolved by documented policy ("max" by default, "last"
-//                    for names ending ".last") with every shard's reading
-//                    retained under "per_shard" — never averaged;
+//  * gauges        — resolved to the max across shards ("policy": "max")
+//                    with every shard's reading retained under
+//                    "per_shard" — never averaged;
 //  * histograms    — RunningStats rebuilt from each shard's serialized
 //                    moments (count/mean/m2/min/max round-trip exactly) and
 //                    merged with RunningStats::merge in shard-index order;
@@ -133,10 +133,6 @@ struct AggregateResult {
   JsonValue manifest;                       ///< the merged aggregate document
   std::vector<AggregateConflict> conflicts; ///< also embedded under "conflicts"
 };
-
-/// Gauge resolution policy for a metric name (see Gauge docs in metrics.hpp).
-enum class GaugePolicy { kMax, kLast };
-[[nodiscard]] GaugePolicy gauge_merge_policy(const std::string& name);
 
 /// What happens to raw per-chip sample values after the fold has reduced
 /// them into RunningStats/Histogram form.

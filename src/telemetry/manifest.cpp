@@ -81,10 +81,13 @@ void record_stage(const std::string& name, double wall_ms, double cpu_ms,
 }
 
 void reset_run_record() {
-  RunRecord& r = run_record();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  r.stages.clear();
-  r.runtime_fields.clear();
+  {
+    RunRecord& r = run_record();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    r.stages.clear();
+    r.runtime_fields.clear();
+  }
+  restart_process_counters();
 }
 
 struct StageTimer::Impl {

@@ -52,8 +52,9 @@ void record_stage(const std::string& name, double wall_ms, double cpu_ms);
 void record_stage(const std::string& name, double wall_ms, double cpu_ms,
                   JsonValue::Object counters);
 
-/// Clears stages and runtime fields (tests, and orchestrators that produce
-/// several per-shard manifests from one process).  Process fields stay.
+/// Clears stages and runtime fields and restarts the process profile's
+/// counter baseline (tests, and orchestrators that produce several
+/// per-shard manifests from one process).  Process fields stay.
 void reset_run_record();
 
 /// RAII wall + CPU stage timer; records into the stage log on destruction

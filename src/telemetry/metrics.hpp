@@ -45,8 +45,7 @@ class Counter {
 /// Cross-process merge semantics (the sharded-run aggregator in
 /// telemetry/aggregate.hpp): a gauge is a point-in-time fact, so summing or
 /// averaging values from different shards is meaningless.  The aggregator
-/// resolves gauges per the documented policy — "max" by default, "last"
-/// (value from the highest shard index) for names ending in ".last" — and
+/// resolves every gauge to its max across shards ("policy": "max") and
 /// always retains every shard's value alongside the resolved one, keyed by
 /// the shard index the manifest self-reports.  A merged manifest therefore
 /// never silently averages (or drops) per-shard gauge readings.

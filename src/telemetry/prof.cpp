@@ -593,6 +593,12 @@ void start_process_profile() {
                {"resource_path", JsonValue(p.sampler->path())});
 }
 
+void restart_process_counters() {
+  ProcessProfile& p = process_profile();
+  std::lock_guard<std::mutex> lock(p.mutex);
+  if (p.started && !p.stopped) p.reader = std::make_unique<CounterReader>();
+}
+
 bool stop_process_profile() {
   ProcessProfile& p = process_profile();
   std::lock_guard<std::mutex> lock(p.mutex);

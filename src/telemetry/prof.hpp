@@ -166,22 +166,30 @@ class ResourceSampler {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Starts the env-driven process profile: a whole-run CounterReader, plus a
-/// ResourceSampler when AROPUF_PROF=on or AROPUF_PROF_RESOURCE is set
-/// (cadence from AROPUF_PROF_INTERVAL_MS).  Idempotent.  Drivers (benches,
-/// aropuf_shard, aropuf_auth) call this once after CLI parsing; library
-/// code never does.
+/// Starts the env-driven process profile: a CounterReader for the current
+/// run, plus a ResourceSampler when AROPUF_PROF=on or AROPUF_PROF_RESOURCE
+/// is set (cadence from AROPUF_PROF_INTERVAL_MS).  Idempotent.  Drivers
+/// (benches, aropuf_shard, aropuf_auth) call this once after CLI parsing;
+/// library code never does.
 void start_process_profile();
 
+/// Restarts the profile's counter baseline, so the next manifest's
+/// "counters" cover only what runs from here on.  reset_run_record() calls
+/// it, so each of several manifests one process writes counts its own run.
+/// A no-op unless the profile is running.
+void restart_process_counters();
+
 /// Stops the process profile's sampler (final sample, file closed) and
-/// freezes the whole-run counter totals.  Returns false when the resource
-/// timeline failed to write.  Idempotent; safe without a prior start.
+/// freezes the current run's counter totals.  Returns false when the
+/// resource timeline failed to write.  Idempotent; safe without a prior
+/// start.
 bool stop_process_profile();
 
 /// The manifest "profile" section — always well-formed so the schema can
 /// require it: {"mode", "fallback_reason", "peak_rss_kib"} plus, when the
-/// process profile ran, "counters" (live or frozen whole-run totals) and
-/// "sampler" ({"interval_ms", "samples", "path", "ok"}).
+/// process profile ran, "counters" (live or frozen totals since the start
+/// or the last restart_process_counters()) and "sampler" ({"interval_ms",
+/// "samples", "path", "ok"}).  peak_rss_kib is the process maximum.
 [[nodiscard]] JsonValue profile_manifest_section();
 
 }  // namespace aropuf::telemetry

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,16 +15,6 @@ std::vector<std::uint8_t> bytes_of(const std::string& s) {
 
 std::vector<std::uint8_t> repeated(std::uint8_t value, std::size_t count) {
   return std::vector<std::uint8_t>(count, value);
-}
-
-std::string hex(std::span<const std::uint8_t> data) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  for (const std::uint8_t b : data) {
-    out.push_back(kHex[b >> 4]);
-    out.push_back(kHex[b & 0x0F]);
-  }
-  return out;
 }
 
 /// HmacSha256(key).mac(msg) as hex; also checks hmac_sha256 agrees.
@@ -160,57 +149,6 @@ TEST(HmacTest, SharedKeyedObjectGivesIdenticalTagsAcrossThreads) {
 TEST(HmacTest, EmptyKeyAndMessageWork) {
   const std::vector<std::uint8_t> empty;
   EXPECT_EQ(hmac_sha256(empty, empty).size(), 32U);
-}
-
-// --- RFC 5869 HKDF test vectors ----------------------------------------------
-
-TEST(HkdfTest, Rfc5869Case1) {
-  const auto ikm = repeated(0x0b, 22);
-  std::vector<std::uint8_t> salt;
-  for (std::uint8_t i = 0; i <= 0x0c; ++i) salt.push_back(i);
-  const auto prk = hkdf_extract(salt, ikm);
-  EXPECT_EQ(Sha256::to_hex(prk),
-            "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5");
-
-  std::vector<std::uint8_t> info;
-  for (std::uint8_t i = 0xf0; i <= 0xf9; ++i) info.push_back(i);
-  const auto okm = hkdf_expand(prk, info, 42);
-  EXPECT_EQ(hex(okm),
-            "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
-            "34007208d5b887185865");
-}
-
-TEST(HkdfTest, Rfc5869Case3ZeroSaltInfo) {
-  const auto ikm = repeated(0x0b, 22);
-  const auto prk = hkdf_extract({}, ikm);
-  EXPECT_EQ(Sha256::to_hex(prk),
-            "19ef24a32c717b167f33a91d6f648bdf96596776afdb6377ac434c1c293ccb04");
-  const auto okm = hkdf_expand(prk, {}, 42);
-  EXPECT_EQ(hex(okm),
-            "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
-            "9d201395faa4b61a96c8");
-}
-
-TEST(HkdfTest, ExpandLengthLimits) {
-  const Sha256::Digest prk{};
-  EXPECT_THROW(hkdf_expand(prk, {}, 0), std::invalid_argument);
-  EXPECT_THROW(hkdf_expand(prk, {}, 255 * 32 + 1), std::invalid_argument);
-  EXPECT_EQ(hkdf_expand(prk, {}, 100).size(), 100U);
-}
-
-TEST(DeriveSubkeyTest, LabelsSeparateKeys) {
-  Sha256::Digest root{};
-  root[0] = 0x42;
-  const auto enc = derive_subkey(root, "encryption");
-  const auto mac = derive_subkey(root, "mac");
-  EXPECT_EQ(enc.size(), 32U);
-  EXPECT_NE(hex(enc), hex(mac));
-  // Deterministic per (root, label).
-  EXPECT_EQ(hex(enc), hex(derive_subkey(root, "encryption")));
-  // Different roots diverge.
-  Sha256::Digest other{};
-  other[0] = 0x43;
-  EXPECT_NE(hex(enc), hex(derive_subkey(other, "encryption")));
 }
 
 }  // namespace

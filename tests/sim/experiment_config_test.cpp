@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace aropuf {
@@ -40,38 +41,6 @@ TEST(TechnologyJsonTest, LoadedConfigIsValidated) {
                std::invalid_argument);
 }
 
-TEST(StressProfileJsonTest, RoundTrip) {
-  const StressProfile p = StressProfile::aro_gated(20.0, 10e-3);
-  const StressProfile back = stress_profile_from_json(to_json(p));
-  EXPECT_EQ(back.name, p.name);
-  EXPECT_DOUBLE_EQ(back.oscillation_fraction, p.oscillation_fraction);
-  EXPECT_DOUBLE_EQ(back.nbti_duty, p.nbti_duty);
-  EXPECT_EQ(back.recovery_enabled, p.recovery_enabled);
-}
-
-TEST(PufConfigJsonTest, RoundTripBothDesigns) {
-  for (const auto& cfg : {PufConfig::conventional(512), PufConfig::aro(64)}) {
-    const PufConfig back = puf_config_from_json(to_json(cfg));
-    EXPECT_EQ(back.design, cfg.design);
-    EXPECT_EQ(back.label, cfg.label);
-    EXPECT_EQ(back.num_ros, cfg.num_ros);
-    EXPECT_EQ(back.pairing, cfg.pairing);
-    EXPECT_DOUBLE_EQ(back.lifetime_profile.oscillation_fraction,
-                     cfg.lifetime_profile.oscillation_fraction);
-  }
-}
-
-TEST(PufConfigJsonTest, DesignFactorySelectsDefaults) {
-  const auto c = puf_config_from_json(JsonValue::parse(R"({"design": "conventional RO-PUF"})"));
-  EXPECT_EQ(c.pairing, PairingStrategy::kDistantDedicated);
-  EXPECT_DOUBLE_EQ(c.lifetime_profile.oscillation_fraction, 1.0);
-}
-
-TEST(PufConfigJsonTest, UnknownPairingRejected) {
-  EXPECT_THROW(puf_config_from_json(JsonValue::parse(R"({"pairing": "zigzag"})")),
-               std::invalid_argument);
-}
-
 TEST(PopulationJsonTest, FileRoundTrip) {
   PopulationConfig pop;
   pop.tech = TechnologyParams::cmos65();
@@ -84,6 +53,29 @@ TEST(PopulationJsonTest, FileRoundTrip) {
   EXPECT_EQ(back.seed, 424242U);
   EXPECT_EQ(back.tech.name, "cmos65");
   EXPECT_DOUBLE_EQ(back.tech.vdd_nominal, pop.tech.vdd_nominal);
+}
+
+TEST(PopulationJsonTest, IntegerKeysMustHoldExactInRangeIntegers) {
+  // chips in [1, INT_MAX], seed in [0, 2^53]; counter_bits must fit an int
+  // before validate() checks its width.
+  const PopulationConfig edge =
+      population_from_json(JsonValue::parse(R"({"chips": 2147483647, "seed": 9007199254740992})"));
+  EXPECT_EQ(edge.chips, 2147483647);
+  EXPECT_EQ(edge.seed, 9007199254740992U);
+  EXPECT_EQ(population_from_json(JsonValue::parse(R"({"chips": 1, "seed": 0})")).seed, 0U);
+  for (const char* doc :
+       {R"({"chips": 2.5, "seed": -1})", R"({"chips": 2.5})", R"({"chips": 0})",
+        R"({"chips": -3})", R"({"chips": 2147483648})", R"({"chips": 1e300})",
+        R"({"seed": -1})", R"({"seed": 0.5})", R"({"seed": 9007199254740994})",
+        R"({"seed": 1e20})", R"({"technology": {"counter_bits": 8.5}})",
+        R"({"technology": {"counter_bits": 1e10}})",
+        R"({"technology": {"counter_bits": -1e10}})"}) {
+    EXPECT_THROW(population_from_json(JsonValue::parse(doc)), std::invalid_argument) << doc;
+  }
+  // The writer refuses a seed it could only round: 2^53 + 1 reads back as 2^53.
+  PopulationConfig big;
+  big.seed = (std::uint64_t{1} << 53) + 1;
+  EXPECT_THROW((void)to_json(big), std::invalid_argument);
 }
 
 TEST(PopulationJsonTest, MissingFileThrows) {

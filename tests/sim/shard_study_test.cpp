@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "telemetry/aggregate.hpp"
 #include "telemetry/manifest.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/prof.hpp"
 
 namespace aropuf {
 namespace {
@@ -142,6 +145,32 @@ TEST(ShardStudyTest, EveryShardJobOfOneProcessRecordsThePoolSize) {
   }
   telemetry::MetricsRegistry::global().set_shard_index(-1);
   telemetry::reset_run_record();
+}
+
+TEST(ShardStudyTest, EachShardJobsProfileCountersCoverThatJobOnly) {
+  // The fold sums the shards' profile counters, so a shard manifest that
+  // carried the process total so far would count earlier shards again.
+  setenv("AROPUF_PROF", "on", 1);
+  setenv("AROPUF_PROF_FORCE_FALLBACK", "1", 1);
+  telemetry::prof_reset_for_test();
+  telemetry::start_process_profile();
+  const ShardStudyConfig cfg = small_config();
+  (void)run_shard_job(cfg, 0, 2, "prof_test", /*binary=*/false);
+  const auto start = std::chrono::steady_clock::now();
+  const JsonValue doc = JsonValue::parse(run_shard_job(cfg, 1, 2, "prof_test", false));
+  const double around_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+          .count();
+  (void)telemetry::stop_process_profile();
+  unsetenv("AROPUF_PROF");
+  unsetenv("AROPUF_PROF_FORCE_FALLBACK");
+  telemetry::prof_reset_for_test();
+  telemetry::MetricsRegistry::global().set_shard_index(-1);
+  telemetry::reset_run_record();
+
+  const JsonValue& profile = doc.at("profile");
+  EXPECT_EQ(profile.at("mode").as_string(), "fallback");
+  EXPECT_LE(profile.at("counters").at("wall_ms").as_number(), around_ms);
 }
 
 TEST(ShardStudyTest, ConfigEchoIsIdenticalAcrossShards) {

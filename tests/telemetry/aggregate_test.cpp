@@ -215,7 +215,6 @@ TEST(AggregateTest, GaugesResolveByPolicyAndRetainPerShardValues) {
   for (int k = 0; k < 3; ++k) {
     JsonValue doc = make_shard_doc(k, 3, 2 * k, 2 * k + 2);
     set_metric(doc, "gauges", "queue.depth", JsonValue(values[k]));
-    set_metric(doc, "gauges", "phase.last", JsonValue(static_cast<double>(k * 10)));
     shards.push_back(wrap_shard_manifest(std::move(doc)));
   }
   const AggregateResult merged = aggregate_shards(std::move(shards));
@@ -227,10 +226,6 @@ TEST(AggregateTest, GaugesResolveByPolicyAndRetainPerShardValues) {
   EXPECT_EQ(depth.at("per_shard").at("0").as_number(), 5.0);
   EXPECT_EQ(depth.at("per_shard").at("1").as_number(), 11.0);
   EXPECT_EQ(depth.at("per_shard").at("2").as_number(), 7.0);
-
-  const JsonValue& phase = gauges.at("phase.last");
-  EXPECT_EQ(phase.at("policy").as_string(), "last");
-  EXPECT_EQ(phase.at("value").as_number(), 20.0);  // highest shard index wins
 }
 
 JsonValue make_profile(const std::string& mode, double peak_rss_kib,
@@ -419,13 +414,6 @@ TEST(AggregateTest, ResumeValidityProbeRejectsAnotherStudysShard) {
   EXPECT_FALSE(shard_manifest_is_valid(path, "test_run", 1, 3, other_seed, &why));
   EXPECT_EQ(why, "study config mismatch");
   EXPECT_TRUE(shard_manifest_is_valid(path, "test_run", 1, 3, doc.at("config"), &why)) << why;
-}
-
-TEST(AggregateTest, GaugePolicySelection) {
-  EXPECT_EQ(gauge_merge_policy("threads"), GaugePolicy::kMax);
-  EXPECT_EQ(gauge_merge_policy("phase.last"), GaugePolicy::kLast);
-  EXPECT_EQ(gauge_merge_policy("last"), GaugePolicy::kMax);  // suffix, not substring
-  EXPECT_EQ(gauge_merge_policy(""), GaugePolicy::kMax);
 }
 
 /// Four uneven shards with a sample series, a tally, and metrics — enough
