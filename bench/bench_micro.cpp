@@ -104,6 +104,31 @@ void BM_KernelFrequencies(benchmark::State& state, DelayBackend backend) {
 BENCHMARK_CAPTURE(BM_KernelFrequencies, batched, DelayBackend::kBatched);
 BENCHMARK_CAPTURE(BM_KernelFrequencies, simd, DelayBackend::kSimd);
 
+/// One 256-RO die's construction draws: 104 Gaussians from each RO's stream,
+/// made by gaussian() calls (`scalar`) or by one gaussians() batch per RO
+/// (`batch`, what RoPuf does).  Both give the same bits (tests enforce it);
+/// the batch's speed-up has a floor in bench/baseline.json.
+void BM_GaussianDraws(benchmark::State& state, bool batch) {
+  const RngFabric fabric(7);
+  std::vector<double> normals(RingOscillator::kNormalsPerStage * 13);
+  for (auto _ : state) {
+    for (std::uint64_t ro = 0; ro < 256; ++ro) {
+      Xoshiro256 rng = fabric.stream("devices", ro);
+      if (batch) {
+        rng.gaussians(normals);
+      } else {
+        for (double& g : normals) g = rng.gaussian();
+      }
+      benchmark::DoNotOptimize(normals.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 256 *
+                          static_cast<std::int64_t>(normals.size()));
+}
+BENCHMARK_CAPTURE(BM_GaussianDraws, scalar, false);
+BENCHMARK_CAPTURE(BM_GaussianDraws, batch, true);
+
 void BM_ChipConstruction(benchmark::State& state) {
   const PufConfig cfg = PufConfig::aro(static_cast<int>(state.range(0)));
   const RngFabric fabric(7);

@@ -49,7 +49,7 @@ Usage:
 Baseline refresh procedure (after an intentional perf change):
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build build -j
   AROPUF_THREADS=1 build/bench/bench_micro --benchmark_format=json \
-      --benchmark_filter='BM_(KernelFrequencies|AgingSeries200/1|ChipConstruction|ChipEvaluate|GateNormalizer|FoldShard|AuthVerify|KeyReconstruct|BchDecode/7/10)' \
+      --benchmark_filter='BM_(KernelFrequencies|AgingSeries200/1|ChipConstruction|ChipEvaluate|GaussianDraws|GateNormalizer|FoldShard|AuthVerify|KeyReconstruct|BchDecode/7/10)' \
       --benchmark_min_time=0.2 --benchmark_repetitions=5 > results.json
   python3 scripts/perf_gate.py update results.json
 then commit bench/baseline.json with a note on why the numbers moved.

@@ -26,9 +26,16 @@ class FrequencyCounter {
   FrequencyCounter(const TechnologyParams& tech, Seconds window);
 
   /// One noisy measurement of an RO oscillating at `f`; draws two Gaussians
-  /// from `noise_rng`.  Callers read every frequency of a die in one
+  /// from `noise_rng`, the low-frequency one first, and counts through the
+  /// overload below.  Callers read every frequency of a die in one
   /// delay-kernel pass (RoPuf::ro_frequencies) and feed them through here.
   [[nodiscard]] std::uint64_t measure_frequency(Hertz f, Xoshiro256& noise_rng) const;
+
+  /// The same measurement from its two standard normals, drawn by the
+  /// caller: `lowfreq` scales the window's relative frequency error and
+  /// `jitter` the count's thermal jitter.  RoPuf::evaluate draws a whole
+  /// read's normals in one batch (polar_normals) and counts through here.
+  [[nodiscard]] std::uint64_t measure_frequency(Hertz f, double lowfreq, double jitter) const;
 
   /// Noise-free expected count for frequency `f` (before saturation).
   [[nodiscard]] double expected_count(Hertz f) const noexcept { return f * window_; }

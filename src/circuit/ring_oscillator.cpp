@@ -1,5 +1,7 @@
 #include "circuit/ring_oscillator.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "device/technology.hpp"
 
@@ -14,35 +16,54 @@ namespace {
 // convolution).  RoPuf goes one step further and evaluates the field for the
 // whole array at once (DieVariation::static_offsets).  Neither hoist changes
 // a bit: the per-device sum  static + local  keeps the historical
-// association.
+// association.  `normal` holds the device's four standard normals in draw
+// order: local mismatch, tempco, NBTI, HCI.
 Transistor make_device(DeviceType type, const TechnologyParams& tech, Volts static_offset,
-                       const DieVariation& die, Xoshiro256& rng) {
+                       const DieVariation& die, const double* normal) {
   Transistor t;
   t.type = type;
   const Volts nominal = (type == DeviceType::kPmos) ? tech.vth_p : tech.vth_n;
-  t.vth_fresh = nominal + (static_offset + die.local_sample(rng));
-  t.vth_tempco = tech.vth_tempco * (1.0 + tech.vth_tempco_mismatch_rel * rng.gaussian());
+  t.vth_fresh = nominal + (static_offset + die.local_sample(normal[0]));
+  t.vth_tempco = tech.vth_tempco * (1.0 + tech.vth_tempco_mismatch_rel * normal[1]);
   // Stochastic aging sensitivities: log-normal-ish via clamped Gaussian so a
   // device can age much more than nominal but never "un-age".
-  const double nbti_g = 1.0 + tech.nbti_sigma_rel * rng.gaussian();
-  const double hci_g = 1.0 + tech.hci_sigma_rel * rng.gaussian();
+  const double nbti_g = 1.0 + tech.nbti_sigma_rel * normal[2];
+  const double hci_g = 1.0 + tech.hci_sigma_rel * normal[3];
   t.nbti_sensitivity = nbti_g > 0.05 ? nbti_g : 0.05;
   t.hci_sensitivity = hci_g > 0.05 ? hci_g : 0.05;
   return t;
+}
+
+/// An RO's normals from `rng` in one batch, sized before the stage count is
+/// checked (a negative count draws none; the build then rejects it).
+std::vector<double> draw_normals(int num_stages, Xoshiro256& rng) {
+  std::vector<double> normals(static_cast<std::size_t>(RingOscillator::kNormalsPerStage) *
+                              static_cast<std::size_t>(std::max(num_stages, 0)));
+  rng.gaussians(normals);
+  return normals;
 }
 
 }  // namespace
 
 RingOscillator::RingOscillator(const TechnologyParams& tech, int num_stages, Position pos,
                                Volts static_offset, const DieVariation& die, Xoshiro256& rng)
+    : RingOscillator(tech, num_stages, pos, static_offset, die, draw_normals(num_stages, rng)) {}
+
+RingOscillator::RingOscillator(const TechnologyParams& tech, int num_stages, Position pos,
+                               Volts static_offset, const DieVariation& die,
+                               std::span<const double> normals)
     : tech_(&tech), delay_(tech), pos_(pos) {
   ARO_REQUIRE(num_stages >= 3 && num_stages % 2 == 1,
               "ring oscillator needs an odd stage count >= 3");
-  stages_.reserve(static_cast<std::size_t>(num_stages));
-  for (int s = 0; s < num_stages; ++s) {
+  const auto stages = static_cast<std::size_t>(num_stages);
+  ARO_REQUIRE(normals.size() == kNormalsPerStage * stages,
+              "ring oscillator needs 8 normals per stage");
+  stages_.reserve(stages);
+  for (std::size_t s = 0; s < stages; ++s) {
+    const double* stage_normals = &normals[kNormalsPerStage * s];
     Stage stage;
-    stage.pmos = make_device(DeviceType::kPmos, tech, static_offset, die, rng);
-    stage.nmos = make_device(DeviceType::kNmos, tech, static_offset, die, rng);
+    stage.pmos = make_device(DeviceType::kPmos, tech, static_offset, die, stage_normals);
+    stage.nmos = make_device(DeviceType::kNmos, tech, static_offset, die, stage_normals + 4);
     stages_.push_back(stage);
   }
 }

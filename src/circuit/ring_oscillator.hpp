@@ -7,6 +7,7 @@
 // whose pairwise comparison produces PUF response bits.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "circuit/delay_model.hpp"
@@ -27,13 +28,24 @@ class RingOscillator {
     Transistor nmos;
   };
 
+  /// Standard normals each stage draws: four for each of its two devices.
+  static constexpr int kNormalsPerStage = 8;
+
   /// Builds an RO of `num_stages` inverting stages (stage 0 is the NAND
   /// enable stage) at die position `pos`.  `static_offset` is the die's
   /// position-dependent Vth component there (DieVariation::static_offset, or
   /// one element of a whole array's DieVariation::static_offsets); each
-  /// device adds its own variation drawn from `die` and `rng`.
+  /// device adds its own variation drawn from `die` and `rng`, all
+  /// kNormalsPerStage * num_stages normals in one Xoshiro256::gaussians.
   RingOscillator(const TechnologyParams& tech, int num_stages, Position pos, Volts static_offset,
                  const DieVariation& die, Xoshiro256& rng);
+
+  /// The same RO from those normals, drawn by the caller in this order:
+  /// stage by stage, the PMOS then the NMOS, and per device its local
+  /// mismatch, tempco mismatch, NBTI and HCI sensitivity.  RoPuf draws each
+  /// RO's into one buffer it reuses across the die.
+  RingOscillator(const TechnologyParams& tech, int num_stages, Position pos, Volts static_offset,
+                 const DieVariation& die, std::span<const double> normals);
 
   /// Oscillation frequency at `op` including all accumulated aging, by the
   /// per-RO walk: the oracle the delay kernels (delay_kernel.hpp) are tested

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/check.hpp"
+
 namespace aropuf::detmath {
 
 namespace detail {
@@ -75,6 +77,17 @@ double kernel_cos(double x, double y) noexcept {
 }
 
 }  // namespace
+
+void polar_factors(std::span<const double> s, std::span<double> factors) {
+#if defined(AROPUF_SIMD_ENABLED)
+  if (__builtin_cpu_supports("avx2")) {
+    polar_factors_avx2(s, factors);
+    return;
+  }
+#endif
+  ARO_REQUIRE(s.size() == factors.size(), "polar_factors needs one factor per s");
+  for (std::size_t i = 0; i < s.size(); ++i) factors[i] = polar_factor(s[i]);
+}
 
 double exp(double x) {
   if (!in_exp_domain(x)) domain_error("exp argument outside [-512, 512]");

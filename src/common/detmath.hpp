@@ -22,6 +22,7 @@
 #pragma once
 
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -52,6 +53,19 @@ inline constexpr double kMaxTrigArg = 0x1p19;
 /// pow, for the Gaussian draws of construction.
 [[nodiscard]] inline double log(double x);
 
+/// sqrt(-2 ln s / s), the factor the polar method scales an accepted pair
+/// (u, v) by, for s = u^2 + v^2, a positive normal double (an accepted s is
+/// in [2^-104, 1)).  Xoshiro256::gaussian() returns u and then v times it.
+/// sqrt and / are exactly rounded IEEE operations, so, with log, the factor
+/// has the same bits everywhere.
+[[nodiscard]] inline double polar_factor(double s);
+
+/// factors[i] = polar_factor(s[i]), four lanes at a time (polar_factors_avx2)
+/// when the CPU executes AVX2 and one at a time otherwise: the same bits
+/// either way.  `factors` may be `s` itself.  Every s[i] must be a positive
+/// normal double; the four-lane path does not check it.
+void polar_factors(std::span<const double> s, std::span<double> factors);
+
 /// sin x for |x| <= kMaxTrigArg.  Error below 0.85 ULP.
 [[nodiscard]] double sin(double x);
 
@@ -63,6 +77,11 @@ inline constexpr double kMaxTrigArg = 0x1p19;
 /// delay kernel runs (detmath_avx2.hpp); bit-identical to pow by
 /// construction.  The caller checks that the CPU executes AVX2.
 void pow_avx2(std::span<const double> x, double y, std::span<double> out);
+
+/// polar_factors' four-lane path (detail::polar_factor4 of
+/// detmath_avx2.hpp), the scalar polar_factor on the last s.size() % 4.
+/// The caller checks that the CPU executes AVX2.
+void polar_factors_avx2(std::span<const double> s, std::span<double> factors);
 #endif
 
 namespace detail {
@@ -184,5 +203,7 @@ inline double pow(double x, double y) {
   if (!in_exp_domain(ehi)) domain_error("pow needs |y ln x| <= 512");
   return exp_inline(ehi, elo);
 }
+
+inline double polar_factor(double s) { return std::sqrt(-2.0 * log(s) / s); }
 
 }  // namespace aropuf::detmath

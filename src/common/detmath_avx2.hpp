@@ -1,7 +1,7 @@
-// Four-lane detmath::pow for TUs compiled with -mavx2 (the delay kernel's
-// and detmath_avx2.cpp).
+// Four-lane detmath::pow and polar factor for TUs compiled with -mavx2 (the
+// delay kernel's and detmath_avx2.cpp).
 //
-// pow4 runs detmath::pow's operation sequence (detmath.cpp) on four lanes:
+// pow4 runs detmath::pow's operation sequence (detmath.hpp) on four lanes:
 // the same table entries, the same exactly rounded sub/mul/add in the same
 // association, and the same integer operations on bit patterns.  Two
 // scalar steps have no AVX2 instruction and are rewritten exactly: the
@@ -12,7 +12,8 @@
 // inputs and the table edges.  A lane outside pow's fast domain (zero, a
 // subnormal, negative or non-finite x, or |y ln x| > kMaxExpArg) sends all
 // four lanes through the scalar pow, which returns the same bits for valid
-// lanes and fails the contract for invalid ones.
+// lanes and fails the contract for invalid ones.  The log half (log4) is
+// also the log of polar_factor4, the Gaussian draws' sqrt(-2 ln s / s).
 #pragma once
 
 #if !defined(__AVX2__)
@@ -41,15 +42,11 @@ inline __m256i splat_bits(std::uint64_t v) noexcept {
   return _mm256_set1_epi64x(static_cast<long long>(v));
 }
 
-/// detmath::pow(x[lane], y) for each of four lanes, bit-identical to it.
-inline __m256d pow4(__m256d x, double y) {
-  constexpr double kMinNormal = std::numeric_limits<double>::min();
-  constexpr double kMaxFinite = std::numeric_limits<double>::max();
+/// log_inline on each of four lanes, bit-identical to it: ln x[lane] for
+/// positive normal lanes as the double-double result + *tail.  The caller
+/// checks the domain (pow4 by its fallback, polar_factor4 by its callers).
+inline __m256d log4(__m256d x, __m256d* tail) noexcept {
   const __m256i ix = _mm256_castpd_si256(x);
-  const __m256d x_ok = _mm256_and_pd(_mm256_cmp_pd(x, splat(kMinNormal), _CMP_GE_OQ),
-                                     _mm256_cmp_pd(x, splat(kMaxFinite), _CMP_LE_OQ));
-
-  // --- log_inline ---------------------------------------------------------
   const __m256i tmp = _mm256_sub_epi64(ix, splat_bits(kLogOffset));
   const __m256i i =
       _mm256_and_si256(_mm256_srli_epi64(tmp, 52 - kTableBits), splat_bits(kTableMask));
@@ -92,8 +89,20 @@ inline __m256d pow4(__m256d x, double y) {
   const __m256d p = _mm256_mul_pd(ar3, _mm256_add_pd(lin(0), _mm256_mul_pd(ar2, inner)));
   const __m256d lo =
       _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(_mm256_add_pd(lo1, lo2), lo3), lo4), p);
-  const __m256d log_hi = _mm256_add_pd(hi, lo);
-  const __m256d log_lo = _mm256_add_pd(_mm256_sub_pd(hi, log_hi), lo);
+  const __m256d y = _mm256_add_pd(hi, lo);
+  *tail = _mm256_add_pd(_mm256_sub_pd(hi, y), lo);
+  return y;
+}
+
+/// detmath::pow(x[lane], y) for each of four lanes, bit-identical to it.
+inline __m256d pow4(__m256d x, double y) {
+  constexpr double kMinNormal = std::numeric_limits<double>::min();
+  constexpr double kMaxFinite = std::numeric_limits<double>::max();
+  const __m256d x_ok = _mm256_and_pd(_mm256_cmp_pd(x, splat(kMinNormal), _CMP_GE_OQ),
+                                     _mm256_cmp_pd(x, splat(kMaxFinite), _CMP_LE_OQ));
+
+  __m256d log_lo = _mm256_setzero_pd();
+  const __m256d log_hi = log4(x, &log_lo);
 
   // --- y * log x as ehi + elo ----------------------------------------------
   const double yhi = from_bits(bits(y) & (~0ULL << 27));
@@ -127,6 +136,17 @@ inline __m256d pow4(__m256d x, double y) {
       _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(tail, er), _mm256_mul_pd(er2, poly_lo)),
                     _mm256_mul_pd(_mm256_mul_pd(er2, er2), poly_hi));
   return _mm256_add_pd(scale, _mm256_mul_pd(scale, etmp));
+}
+
+/// detmath::polar_factor(s[lane]) for each of four lanes, bit-identical to
+/// it: log4's head is detmath::log's result, and AVX2's mul, div and sqrt
+/// are exactly rounded like the scalar ones.  Every lane must be a positive
+/// normal double, as an accepted polar draw is (s in [2^-104, 1)); no lane
+/// is checked, so none needs log's domain fallback.
+inline __m256d polar_factor4(__m256d s) noexcept {
+  __m256d tail = _mm256_setzero_pd();
+  const __m256d log_s = log4(s, &tail);
+  return _mm256_sqrt_pd(_mm256_div_pd(_mm256_mul_pd(splat(-2.0), log_s), s));
 }
 
 }  // namespace aropuf::detmath::detail

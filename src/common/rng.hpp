@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string_view>
 
 namespace aropuf {
@@ -45,6 +46,16 @@ class SplitMix64 {
 
  private:
   std::uint64_t state_;
+};
+
+/// One accepted draw of the Marsaglia polar method: (u, v) uniform on the
+/// unit disc less its centre, and s = u^2 + v^2, a normal double in
+/// [2^-104, 1).  Its two standard normals are u * f and v * f, f =
+/// detmath::polar_factor(s).
+struct PolarPair {
+  double u;
+  double v;
+  double s;
 };
 
 /// Xoshiro256** engine (Blackman & Vigna).  Fast, 256-bit state, passes
@@ -87,10 +98,23 @@ class Xoshiro256 {
     return lo + (hi - lo) * uniform();
   }
 
-  /// Standard normal deviate (Marsaglia polar method — branchy but
-  /// allocation-free and deterministic across platforms, unlike
-  /// std::normal_distribution whose algorithm is implementation-defined).
+  /// Standard normal deviate (Marsaglia polar method — allocation-free and
+  /// deterministic across platforms, unlike std::normal_distribution whose
+  /// algorithm is implementation-defined).  Returns a pending spare if there
+  /// is one; otherwise draws a PolarPair, returns u * f and keeps v * f as
+  /// the spare.
   double gaussian() noexcept;
+
+  /// Fills `out` with exactly what out.size() gaussian() calls return, and
+  /// leaves the stream where they would, a pending spare after an odd
+  /// count included.  The uniform pairs are drawn and tested one after
+  /// another; their factors then come from detmath::polar_factors, four
+  /// lanes wide where the CPU has AVX2.
+  void gaussians(std::span<double> out) noexcept;
+
+  /// Draws uniform pairs until one lands inside the unit disc (not at its
+  /// centre): the draws one gaussian() call without a spare makes.
+  PolarPair polar_pair() noexcept;
 
   /// Normal deviate with the given mean and standard deviation.
   double gaussian(double mean, double sigma) noexcept { return mean + sigma * gaussian(); }
@@ -111,6 +135,12 @@ class Xoshiro256 {
   double spare_ = 0.0;
   bool has_spare_ = false;
 };
+
+/// normals[2i] and normals[2i + 1] are the two deviates gaussian() makes of
+/// pairs[i], u * f and then v * f, with every f from detmath::polar_factors
+/// (one call per 64 pairs).  RoPuf::evaluate draws each bit's pairs from
+/// the bit's own stream and converts a whole read's at once.
+void polar_normals(std::span<const PolarPair> pairs, std::span<double> normals);
 
 /// Derives independent named sub-streams from one master seed.
 ///

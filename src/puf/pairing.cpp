@@ -7,20 +7,6 @@
 
 namespace aropuf {
 
-const char* to_string(PairingStrategy s) {
-  switch (s) {
-    case PairingStrategy::kAdjacentDedicated:
-      return "adjacent-dedicated";
-    case PairingStrategy::kDistantDedicated:
-      return "distant-dedicated";
-    case PairingStrategy::kChainNeighbor:
-      return "chain-neighbor";
-    case PairingStrategy::kRandomChallenge:
-      return "random-challenge";
-  }
-  return "unknown";
-}
-
 std::size_t pairing_bits(PairingStrategy s, int num_ros) {
   ARO_REQUIRE(num_ros >= 2, "pairing needs at least two ROs");
   switch (s) {

@@ -28,9 +28,6 @@ enum class PairingStrategy {
   kRandomChallenge,
 };
 
-/// Human-readable strategy name (for reports).
-[[nodiscard]] const char* to_string(PairingStrategy s);
-
 /// Number of response bits the strategy yields for `num_ros` oscillators.
 [[nodiscard]] std::size_t pairing_bits(PairingStrategy s, int num_ros);
 

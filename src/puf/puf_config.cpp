@@ -4,18 +4,6 @@
 
 namespace aropuf {
 
-const char* to_string(PufDesign d) {
-  switch (d) {
-    case PufDesign::kConventional:
-      return "conventional RO-PUF";
-    case PufDesign::kAro:
-      return "ARO-PUF";
-    case PufDesign::kCustom:
-      return "custom";
-  }
-  return "unknown";
-}
-
 void PufConfig::validate() const {
   ARO_REQUIRE(num_ros >= 2 && num_ros % 2 == 0, "RO count must be even and >= 2");
   ARO_REQUIRE(stages >= 3 && stages % 2 == 1, "stage count must be odd and >= 3");

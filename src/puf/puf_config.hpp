@@ -26,8 +26,6 @@ namespace aropuf {
 
 enum class PufDesign { kConventional, kAro, kCustom };
 
-[[nodiscard]] const char* to_string(PufDesign d);
-
 struct PufConfig {
   PufDesign design = PufDesign::kCustom;
   std::string label = "custom";

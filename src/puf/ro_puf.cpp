@@ -37,9 +37,13 @@ RoPuf::RoPuf(const TechnologyParams& tech, PufConfig config, RngFabric fabric)
   // One spatial-field evaluation for the whole die, not one per RO.
   const std::vector<Volts> static_offsets = die.static_offsets(positions);
   ros_.reserve(num_ros);
+  // Each RO's normals come from its own stream in one batch, into a buffer
+  // every RO of the die reuses.
+  std::vector<double> normals(static_cast<std::size_t>(RingOscillator::kNormalsPerStage) *
+                              static_cast<std::size_t>(config_.stages));
   for (std::size_t i = 0; i < num_ros; ++i) {
-    Xoshiro256 device_rng = fabric_.stream("devices", i);
-    ros_.emplace_back(*tech_, config_.stages, positions[i], static_offsets[i], die, device_rng);
+    fabric_.stream("devices", i).gaussians(normals);
+    ros_.emplace_back(*tech_, config_.stages, positions[i], static_offsets[i], die, normals);
   }
   pairs_ = make_pairs(config_.pairing, config_.num_ros, config_.challenge_seed);
   soa_ = RoArraySoA::from_oscillators(ros_);
@@ -79,14 +83,26 @@ std::vector<double> RoPuf::fresh_ro_frequencies(OperatingPoint op) const {
 BitVector RoPuf::evaluate(OperatingPoint op, std::uint64_t eval_index) const {
   evaluations_counter().add(1);
   const std::vector<double> freqs = ro_frequencies(op);
-  BitVector response(pairs_.size());
-  for (std::size_t b = 0; b < pairs_.size(); ++b) {
+  // Bit b's noise stream gives RO a the two normals of its first polar pair
+  // and RO b those of its second, as four gaussian() calls would; the
+  // factors of a whole read's pairs come from one batch.
+  const std::size_t bits = pairs_.size();
+  std::vector<PolarPair> draws(2 * bits);
+  for (std::size_t b = 0; b < bits; ++b) {
     Xoshiro256 noise_rng = fabric_.stream("noise", eval_index, b);
+    draws[2 * b] = noise_rng.polar_pair();
+    draws[2 * b + 1] = noise_rng.polar_pair();
+  }
+  std::vector<double> normals(2 * draws.size());
+  polar_normals(draws, normals);
+  BitVector response(bits);
+  for (std::size_t b = 0; b < bits; ++b) {
     const auto [ia, ib] = pairs_[b];
+    const double* n = &normals[4 * b];
     const std::uint64_t ca =
-        counter_.measure_frequency(freqs[static_cast<std::size_t>(ia)], noise_rng);
+        counter_.measure_frequency(freqs[static_cast<std::size_t>(ia)], n[0], n[1]);
     const std::uint64_t cb =
-        counter_.measure_frequency(freqs[static_cast<std::size_t>(ib)], noise_rng);
+        counter_.measure_frequency(freqs[static_cast<std::size_t>(ib)], n[2], n[3]);
     response.set(b, compare_counts(ca, cb));
   }
   return response;

@@ -41,9 +41,11 @@ class DieVariation {
   /// Layout-systematic component at `p` (identical on all dies).
   [[nodiscard]] Volts systematic_offset(Position p) const noexcept;
 
-  /// Draws one device's white local mismatch from `rng`.
-  [[nodiscard]] Volts local_sample(Xoshiro256& rng) const noexcept {
-    return rng.gaussian(0.0, tech_->sigma_vth_local);
+  /// One device's white local mismatch for its standard normal draw:
+  /// 0.0 + sigma * normal, the sum rng.gaussian(0.0, sigma) forms (a -0.0
+  /// product gives +0.0).
+  [[nodiscard]] Volts local_sample(double normal) const noexcept {
+    return 0.0 + tech_->sigma_vth_local * normal;
   }
 
   /// The three position-dependent (device-independent) components combined:
@@ -62,7 +64,7 @@ class DieVariation {
 
   /// All four components combined for a device at `p`.
   [[nodiscard]] Volts total_offset(Position p, Xoshiro256& local_rng) const {
-    return static_offset(p) + local_sample(local_rng);
+    return static_offset(p) + local_sample(local_rng.gaussian());
   }
 
  private:

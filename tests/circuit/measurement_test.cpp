@@ -36,6 +36,23 @@ TEST_F(MeasurementTest, CountTracksExpectedValue) {
   EXPECT_NEAR(stats.mean(), expected, expected * 1e-3);
 }
 
+TEST_F(MeasurementTest, NormalsOverloadEqualsStreamOverload) {
+  const FrequencyCounter counter(tech_, 20e-6);
+  const double f = make_ro().frequency(nominal_);
+  // A zero count, a near-zero one, the nominal one and a saturated one.
+  for (const double freq : {0.0, f * 1e-6, f, f * 1e3}) {
+    Xoshiro256 stream(5);
+    Xoshiro256 normals = stream;
+    for (int i = 0; i < 1000; ++i) {
+      const double lowfreq = normals.gaussian();
+      const double jitter = normals.gaussian();
+      ASSERT_EQ(counter.measure_frequency(freq, lowfreq, jitter),
+                counter.measure_frequency(freq, stream))
+          << freq << ", read " << i;
+    }
+  }
+}
+
 TEST_F(MeasurementTest, NoiseScaleMatchesModel) {
   const FrequencyCounter counter(tech_, 20e-6);
   const RingOscillator ro = make_ro();

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "common/statistics.hpp"
 #include "device/technology.hpp"
@@ -41,6 +45,38 @@ TEST_F(RingOscillatorTest, RejectsEvenOrTinyStageCounts) {
   Xoshiro256 rng(2);
   EXPECT_THROW(RingOscillator(tech_, 12, {0, 0}, 0.0, die, rng), std::invalid_argument);
   EXPECT_THROW(RingOscillator(tech_, 1, {0, 0}, 0.0, die, rng), std::invalid_argument);
+}
+
+TEST_F(RingOscillatorTest, NormalsAreTakenStageByStagePmosFirst) {
+  const DieVariation die(tech_, 1);
+  Xoshiro256 rng(2);
+  Xoshiro256 calls = rng;
+  const RingOscillator drawn(tech_, 13, {0, 0}, 0.0, die, rng);
+  std::vector<double> normals(RingOscillator::kNormalsPerStage * 13);
+  for (double& g : normals) g = calls.gaussian();
+  EXPECT_EQ(rng(), calls());
+  const RingOscillator given(tech_, 13, {0, 0}, 0.0, die, normals);
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  for (std::size_t s = 0; s < 13; ++s) {
+    for (const auto member : {&RingOscillator::Stage::pmos, &RingOscillator::Stage::nmos}) {
+      const Transistor& a = drawn.stages()[s].*member;
+      const Transistor& b = given.stages()[s].*member;
+      EXPECT_TRUE(same_bits(a.vth_fresh, b.vth_fresh) && same_bits(a.vth_tempco, b.vth_tempco) &&
+                  same_bits(a.nbti_sensitivity, b.nbti_sensitivity) &&
+                  same_bits(a.hci_sensitivity, b.hci_sensitivity))
+          << "stage " << s;
+    }
+  }
+  // Per device: local mismatch, tempco, NBTI, HCI; the NMOS after the PMOS.
+  const Transistor& nmos1 = given.stages()[1].nmos;
+  EXPECT_TRUE(same_bits(nmos1.vth_tempco,
+                        tech_.vth_tempco * (1.0 + tech_.vth_tempco_mismatch_rel * normals[13])));
+  EXPECT_TRUE(same_bits(nmos1.nbti_sensitivity,
+                        std::max(1.0 + tech_.nbti_sigma_rel * normals[14], 0.05)));
+  normals.pop_back();
+  EXPECT_THROW(RingOscillator(tech_, 13, {0, 0}, 0.0, die, normals), std::invalid_argument);
 }
 
 TEST_F(RingOscillatorTest, FrequencyNearNominal) {

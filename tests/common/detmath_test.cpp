@@ -207,7 +207,71 @@ TEST(DetmathTest, FourLanePowFailsTheContractLikeScalar) {
   EXPECT_THROW(detmath::pow_avx2(valid, kNan, out), std::invalid_argument);
 }
 
+/// polar_factors_avx2 against the scalar polar_factor, bitwise.
+void expect_factor_lanes_match_scalar(const std::vector<double>& s) {
+  std::vector<double> lanes(s.size());
+  detmath::polar_factors_avx2(s, lanes);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const double scalar = detmath::polar_factor(s[i]);
+    if (std::bit_cast<std::uint64_t>(lanes[i]) != std::bit_cast<std::uint64_t>(scalar)) {
+      if (mismatches++ < 5) ADD_FAILURE() << "polar_factor(" << s[i] << ")";
+    }
+  }
+  EXPECT_EQ(mismatches, 0U);
+}
+
+TEST(DetmathTest, FourLanePolarFactorEqualsScalarOnRandomInputs) {
+  if (!__builtin_cpu_supports("avx2")) GTEST_SKIP() << "CPU lacks AVX2";
+  Xoshiro256 rng(43);
+  std::vector<double> s;
+  s.reserve(1'000'000);
+  while (s.size() < 1'000'000) {
+    // Uniform on (0, 1), as an accepted u^2 + v^2 is, and every fourth draw
+    // log-uniform down to the smallest accepted s, 2^-104.
+    const double x = (s.size() % 4 != 3) ? rng.uniform() : std::exp2(rng.uniform(-104.0, 0.0));
+    if (x > 0.0) s.push_back(x);
+  }
+  expect_factor_lanes_match_scalar(s);
+}
+
+TEST(DetmathTest, FourLanePolarFactorEqualsScalarOnTableEdges) {
+  if (!__builtin_cpu_supports("avx2")) GTEST_SKIP() << "CPU lacks AVX2";
+  std::vector<double> s = {0x1p-104, std::nextafter(1.0, 0.0), 0.5};
+  // Every log subinterval's first pattern and its neighbours, at binary
+  // exponents that keep s in [2^-104, 1).
+  for (std::uint64_t i = 0; i <= detmath::detail::kTableSize; ++i) {
+    const std::uint64_t edge = detmath::detail::kLogOffset + (i << 45);
+    for (const std::int64_t exponent_shift : {0, -1, -2, -7, -50, -103}) {
+      const std::uint64_t moved = edge + (static_cast<std::uint64_t>(exponent_shift) << 52);
+      for (const std::uint64_t b : {moved - 1, moved, moved + 1}) {
+        const double x = std::bit_cast<double>(b);
+        if (x >= 0x1p-104 && x < 1.0) s.push_back(x);
+      }
+    }
+  }
+  expect_factor_lanes_match_scalar(s);
+}
+
 #endif  // AROPUF_SIMD_ENABLED
+
+TEST(DetmathTest, PolarFactorsEqualScalarOnEitherPath) {
+  // Whichever path this CPU takes, and in place too.
+  Xoshiro256 rng(47);
+  std::vector<double> s(1001);  // not a multiple of four: a scalar tail
+  for (double& x : s) x = rng.polar_pair().s;
+  std::vector<double> factors(s.size());
+  detmath::polar_factors(s, factors);
+  std::vector<double> in_place = s;
+  detmath::polar_factors(in_place, in_place);
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const std::uint64_t scalar = std::bit_cast<std::uint64_t>(detmath::polar_factor(s[i]));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(factors[i]), scalar) << s[i];
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(in_place[i]), scalar) << s[i];
+  }
+  std::vector<double> short_of_one(s.size() - 1);
+  EXPECT_THROW(detmath::polar_factors(s, short_of_one), std::invalid_argument);
+}
 
 }  // namespace
 }  // namespace aropuf

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "common/statistics.hpp"
@@ -91,6 +94,60 @@ TEST(Xoshiro256Test, GaussianTailFractionMatchesNormal) {
   }
   // P(|Z| > 2) = 4.55 %.
   EXPECT_NEAR(static_cast<double>(beyond_2sigma) / kSamples, 0.0455, 0.005);
+}
+
+/// True when the batch `rng.gaussians(count)` returns, bit for bit, what
+/// `count` gaussian() calls on a copy of `rng` return, and leaves the stream
+/// where they do: the next gaussian() (the pending spare, if any) and the
+/// next raw draw agree too.
+bool batch_equals_calls(Xoshiro256 rng, std::size_t count, std::vector<double>& batch) {
+  Xoshiro256 calls = rng;
+  batch.assign(count, 0.0);
+  rng.gaussians(batch);
+  bool same = true;
+  for (const double g : batch) {
+    same &= std::bit_cast<std::uint64_t>(g) == std::bit_cast<std::uint64_t>(calls.gaussian());
+  }
+  same &= std::bit_cast<std::uint64_t>(rng.gaussian()) ==
+          std::bit_cast<std::uint64_t>(calls.gaussian());
+  return same && rng() == calls();
+}
+
+TEST(Xoshiro256Test, GaussianBatchEqualsRepeatedCallsBitwise) {
+  std::vector<double> batch;
+  int mismatches = 0;
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    Xoshiro256 fresh(seed);
+    Xoshiro256 with_spare(seed);
+    (void)with_spare.gaussian();  // leaves the pair's second deviate pending
+    for (std::size_t count = 0; count <= 130; ++count) {
+      for (const bool spare : {false, true}) {
+        if (batch_equals_calls(spare ? with_spare : fresh, count, batch)) continue;
+        if (mismatches++ < 5) {
+          ADD_FAILURE() << "seed " << seed << ", count " << count
+                        << (spare ? ", spare pending" : ", fresh stream");
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Xoshiro256Test, PolarNormalsAreGaussiansOfEachPair) {
+  Xoshiro256 rng(29);
+  Xoshiro256 calls = rng;
+  std::vector<PolarPair> pairs(150);  // more than one batch of factors
+  for (PolarPair& p : pairs) p = rng.polar_pair();
+  std::vector<double> normals(2 * pairs.size());
+  polar_normals(pairs, normals);
+  for (std::size_t i = 0; i < normals.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(normals[i]),
+              std::bit_cast<std::uint64_t>(calls.gaussian()))
+        << i;
+  }
+  EXPECT_EQ(rng(), calls());
+  std::vector<double> short_of_one(2 * pairs.size() - 1);
+  EXPECT_THROW(polar_normals(pairs, short_of_one), std::invalid_argument);
 }
 
 TEST(Xoshiro256Test, BoundedStaysInBound) {

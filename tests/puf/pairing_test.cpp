@@ -64,7 +64,7 @@ TEST(PairingTest, DedicatedStrategiesUseEveryRoOnce) {
       used.insert(a);
       used.insert(b);
     }
-    EXPECT_EQ(used.size(), 32U) << to_string(strategy);
+    EXPECT_EQ(used.size(), 32U) << static_cast<int>(strategy);
   }
 }
 
@@ -84,13 +84,6 @@ TEST(PairingTest, RejectsOddRoCountForDedicated) {
 TEST(PairingTest, RejectsTooFewRos) {
   EXPECT_THROW(make_pairs(PairingStrategy::kChainNeighbor, 1), std::invalid_argument);
   EXPECT_THROW((void)pairing_bits(PairingStrategy::kChainNeighbor, 1), std::invalid_argument);
-}
-
-TEST(PairingTest, NamesAreStable) {
-  EXPECT_STREQ(to_string(PairingStrategy::kAdjacentDedicated), "adjacent-dedicated");
-  EXPECT_STREQ(to_string(PairingStrategy::kDistantDedicated), "distant-dedicated");
-  EXPECT_STREQ(to_string(PairingStrategy::kChainNeighbor), "chain-neighbor");
-  EXPECT_STREQ(to_string(PairingStrategy::kRandomChallenge), "random-challenge");
 }
 
 }  // namespace

@@ -46,11 +46,5 @@ TEST(PufConfigTest, ValidationCatchesBadGeometry) {
   EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
-TEST(PufConfigTest, DesignNames) {
-  EXPECT_STREQ(to_string(PufDesign::kConventional), "conventional RO-PUF");
-  EXPECT_STREQ(to_string(PufDesign::kAro), "ARO-PUF");
-  EXPECT_STREQ(to_string(PufDesign::kCustom), "custom");
-}
-
 }  // namespace
 }  // namespace aropuf

@@ -108,6 +108,29 @@ TEST_F(RoPufTest, SameEvalIndexReplaysNoise) {
   EXPECT_EQ(chip.evaluate(op, 3), chip.evaluate(op, 3));
 }
 
+TEST_F(RoPufTest, EvaluateEqualsPerBitStreamMeasurement) {
+  // The stream oracle: bit b measures RO a then RO b from the bit's own
+  // noise stream, two gaussian() calls each.
+  const RngFabric chip_fabric = fabric_.child("chip", 3);
+  const RoPuf chip(tech_, PufConfig::aro(256), chip_fabric);
+  const FrequencyCounter counter(tech_, chip.config().measurement_window);
+  const auto op = chip.nominal_op();
+  const std::vector<double> freqs = chip.ro_frequencies(op);
+  for (std::uint64_t e = 0; e < 4; ++e) {
+    BitVector oracle(chip.response_bits());
+    for (std::size_t b = 0; b < chip.pairs().size(); ++b) {
+      Xoshiro256 noise_rng = chip_fabric.stream("noise", e, b);
+      const auto [ia, ib] = chip.pairs()[b];
+      const std::uint64_t ca =
+          counter.measure_frequency(freqs[static_cast<std::size_t>(ia)], noise_rng);
+      const std::uint64_t cb =
+          counter.measure_frequency(freqs[static_cast<std::size_t>(ib)], noise_rng);
+      oracle.set(b, compare_counts(ca, cb));
+    }
+    EXPECT_EQ(chip.evaluate(op, e), oracle) << e;
+  }
+}
+
 TEST_F(RoPufTest, RepeatedEvaluationsMostlyStable) {
   const RoPuf chip = make_chip(0, PufConfig::aro(256));
   const auto op = chip.nominal_op();

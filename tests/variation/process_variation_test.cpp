@@ -78,7 +78,7 @@ TEST_F(DieVariationTest, LocalSampleMatchesSigma) {
   const DieVariation die(tech_, 11);
   Xoshiro256 rng(77);
   RunningStats stats;
-  for (int i = 0; i < 50000; ++i) stats.add(die.local_sample(rng));
+  for (int i = 0; i < 50000; ++i) stats.add(die.local_sample(rng.gaussian()));
   EXPECT_NEAR(stats.mean(), 0.0, 1e-3);
   EXPECT_NEAR(stats.stddev(), tech_.sigma_vth_local, tech_.sigma_vth_local * 0.03);
 }
