@@ -30,6 +30,11 @@ silent pass would hide a policy regression.  Pass --ignore-raw-policy for
 the deliberate cross-policy comparisons (e.g. CI checking that a streaming
 drop-raw run reproduces a kept single-shot run's statistics).
 
+A shard manifest's results.responses (each design's golden responses for
+the shard's own chips, JSON or inside --binary metadata) must follow the
+rules the fold enforces: one '0'/'1' string per chip in [chip_lo, chip_hi),
+all of one length, with offset chip_lo.
+
 Resource timelines (telemetry/prof.hpp ResourceSampler) validate with
 --resource: every JSONL line must carry a monotonic timestamp and
 non-negative RSS/CPU readings; a torn final line is tolerated.  The
@@ -54,6 +59,7 @@ from __future__ import annotations
 import json
 import struct
 import sys
+from collections import Counter
 from pathlib import Path
 
 SCHEMA = "aropuf-run-manifest"
@@ -214,6 +220,49 @@ def validate_manifest_doc(doc, path: Path) -> list[str]:
             problems.append(fail(path, f"counter '{name}' is not a non-negative number"))
     if "profile" in doc:
         problems.extend(validate_profile_section(doc["profile"], path, aggregate=False))
+    problems.extend(validate_responses(doc, path))
+    return problems
+
+
+def validate_responses(doc: dict, path: Path) -> list[str]:
+    """Checks a shard manifest's results.responses by the fold's rules
+    (telemetry/aggregate.cpp extract_responses), naming each bad response."""
+    results = doc.get("results")
+    shard = doc.get("shard")
+    if not isinstance(results, dict) or "responses" not in results or not isinstance(shard, dict):
+        return []
+    sets = results["responses"]
+    if not isinstance(sets, dict):
+        return [fail(path, "results.responses is not an object")]
+    lo, hi = shard.get("chip_lo"), shard.get("chip_hi")
+    problems = []
+    for name, entry in sets.items():
+        what = f"responses '{name}'"
+        if not isinstance(entry, dict) or not isinstance(entry.get("values"), list):
+            problems.append(fail(path, f"{what} malformed"))
+            continue
+        if entry.get("offset") != lo:
+            problems.append(fail(path, f"{what} start at chip {entry.get('offset')!r}, "
+                                       f"not at the shard's chip_lo {lo!r}"))
+        values = entry["values"]
+        if isinstance(lo, int) and isinstance(hi, int) and len(values) != hi - lo:
+            problems.append(fail(path, f"{what} hold {len(values)} entries for the "
+                                       f"shard's {hi - lo} chips"))
+        bit_strings = {}
+        for i, bits in enumerate(values):
+            if isinstance(bits, str) and bits and not set(bits) - {"0", "1"}:
+                bit_strings[i] = bits
+            else:
+                problems.append(fail(path, f"{what} entry {i} is not a bit string"))
+        # The set's length is its most common one, so the report names the
+        # odd response out wherever it sits.
+        lengths = Counter(len(bits) for bits in bit_strings.values())
+        if len(lengths) > 1:
+            common = lengths.most_common(1)[0][0]
+            for i, bits in bit_strings.items():
+                if len(bits) != common:
+                    problems.append(fail(path, f"{what} entry {i} is {len(bits)} bits long, "
+                                               f"the rest of its set {common}"))
     return problems
 
 

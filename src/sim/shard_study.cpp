@@ -6,7 +6,6 @@
 
 #include "circuit/operating_point.hpp"
 #include "common/check.hpp"
-#include "common/statistics.hpp"
 #include "puf/ro_puf.hpp"
 #include "sim/parallel.hpp"
 #include "telemetry/manifest.hpp"
@@ -35,57 +34,6 @@ SampleSeries chip_series(std::string name, std::size_t lo, std::size_t own, std:
   return series;
 }
 
-/// E3's exact tally over pair indices [lo, hi) of the flattened pair space,
-/// in the lexicographic (row, col) order compute_uniqueness uses.  One pool
-/// task per row of the pair triangle counts how often each bit-HD value
-/// occurs in the row's owned segment; every tally field follows from the
-/// summed integer counts, so no split of the range can move a bit.
-PairTally tally_pair_range(const std::vector<BitVector>& golden, std::size_t lo,
-                           std::size_t hi) {
-  const std::size_t chips = golden.size();
-  const std::size_t bits = golden.front().size();
-  // row_start[i] is the index of pair (i, i + 1); row i ends where row i + 1
-  // starts, and the last row is empty.
-  std::vector<std::size_t> row_start(chips + 1, 0);
-  for (std::size_t i = 0; i < chips; ++i) row_start[i + 1] = row_start[i] + (chips - 1 - i);
-  const auto first_row = static_cast<std::size_t>(
-      std::upper_bound(row_start.begin(), row_start.end(), lo) - row_start.begin() - 1);
-  const auto end_row = static_cast<std::size_t>(
-      std::lower_bound(row_start.begin(), row_start.end(), hi) - row_start.begin());
-  const std::size_t rows = lo < hi ? end_row - first_row : 0;
-
-  const auto row_counts = parallel_map_chips(rows, [&](std::size_t r) {
-    const std::size_t row = first_row + r;
-    const std::size_t col_lo = row + 1 + (std::max(lo, row_start[row]) - row_start[row]);
-    const std::size_t col_hi = row + 1 + (std::min(hi, row_start[row + 1]) - row_start[row]);
-    std::vector<std::uint64_t> count(bits + 1, 0);
-    for (std::size_t col = col_lo; col < col_hi; ++col) {
-      ++count[hamming_distance(golden[row], golden[col])];
-    }
-    return count;
-  });
-
-  PairTally tally;
-  tally.offset = lo;
-  tally.total = row_start[chips];
-  tally.denom = bits;
-  tally.bins.assign(50, 0);
-  Histogram hist(0.0, 1.0, tally.bins.size());  // compute_uniqueness's binning
-  for (std::uint64_t hd = 0; hd <= bits; ++hd) {
-    std::uint64_t n = 0;
-    for (const std::vector<std::uint64_t>& count : row_counts) n += count[hd];
-    if (n == 0) continue;
-    if (tally.count == 0) tally.min = hd;
-    tally.max = hd;
-    tally.count += n;
-    tally.sum += n * hd;
-    tally.sum_sq += n * hd * hd;
-    hist.add(static_cast<double>(hd) / static_cast<double>(bits), n);
-  }
-  for (std::size_t b = 0; b < tally.bins.size(); ++b) tally.bins[b] = hist.count(b);
-  return tally;
-}
-
 }  // namespace
 
 std::string checkpoint_series_suffix(double year) {
@@ -106,15 +54,12 @@ ShardStudyResult run_shard_study(const ShardStudyConfig& cfg, std::size_t index,
   const auto chips_total = static_cast<std::size_t>(cfg.pop.chips);
   const auto [chip_lo, chip_hi] = shard_range(chips_total, index, count);
   const std::size_t own = chip_hi - chip_lo;
-  const std::size_t pairs_total = chips_total * (chips_total - 1) / 2;
-  const auto [pair_lo, pair_hi] = shard_range(pairs_total, index, count);
   const std::size_t years = cfg.checkpoints.size();
 
   const auto designs = study_designs();
 
   auto& registry = telemetry::MetricsRegistry::global();
   registry.gauge("study.shard_chips").set(static_cast<double>(own));
-  registry.gauge("study.shard_pairs").set(static_cast<double>(pair_hi - pair_lo));
 
   ShardStudyResult result;
   result.chip_lo = chip_lo;
@@ -122,11 +67,9 @@ ShardStudyResult run_shard_study(const ShardStudyConfig& cfg, std::size_t index,
   const OperatingPoint op = nominal_operating_point(cfg.pop.tech);
   const RngFabric fabric(cfg.pop.seed);
 
-  // Per design: E2's flip series per checkpoint, then E3's uniformity, over
-  // own chips; and every die's golden read for the pair pass.
+  // Per design, over own chips: E2's flip series per checkpoint, then E3's
+  // uniformity; and the golden reads the aggregator pairs.
   std::vector<std::vector<SampleSeries>> series(designs.size());
-  std::vector<std::vector<BitVector>> golden(designs.size(),
-                                             std::vector<BitVector>(chips_total));
   for (std::size_t d = 0; d < designs.size(); ++d) {
     const std::string& key = designs[d].first;
     for (const double y : cfg.checkpoints) {
@@ -134,18 +77,24 @@ ShardStudyResult run_shard_study(const ShardStudyConfig& cfg, std::size_t index,
                                       chip_lo, own, chips_total, 100.0));
     }
     series[d].push_back(chip_series("e3." + key + ".uniformity", chip_lo, own, chips_total, 1.0));
+    ResponseSet golden;
+    golden.name = "e3." + key + ".pair_hd";
+    golden.offset = chip_lo;
+    golden.responses.resize(own);
+    result.responses.push_back(std::move(golden));
   }
 
-  // Chip pass: one task per die of the population, which chip i always
-  // draws from fabric.child("chip", i).  The die is built once, under the
-  // first design, and read as every other design before any aging: the
-  // designs differ only in pairing and stress.  Each design's fresh (eval 0)
-  // read goes to E3; the shard's own chips then take E2's flip_walk in each
-  // design, so every value depends only on the chip's own streams.
+  // Chip pass: one task per own die, which chip i always draws from
+  // fabric.child("chip", i).  The die is built once, under the first design,
+  // and read as every other design before any aging: the designs differ only
+  // in pairing and stress.  Each design's fresh (eval 0) read is the chip's
+  // E3 response, and E2's flip_walk measures its flips against it, so every
+  // value depends only on the chip's own streams.
   {
     const telemetry::StageTimer stage("shard.chips");
-    registry.counter("study.chips_built").add(chips_total);
-    parallel_for_chips(chips_total, [&](std::size_t i) {
+    registry.counter("study.chips_built").add(own);
+    parallel_for_chips(own, [&](std::size_t k) {
+      const std::size_t i = chip_lo + k;
       std::vector<RoPuf> dies;
       dies.reserve(designs.size());
       dies.emplace_back(cfg.pop.tech, designs.front().second,
@@ -154,28 +103,18 @@ ShardStudyResult run_shard_study(const ShardStudyConfig& cfg, std::size_t index,
         dies.emplace_back(dies.front(), designs[d].second);
       }
       for (std::size_t d = 0; d < designs.size(); ++d) {
-        golden[d][i] = dies[d].evaluate(op, /*eval_index=*/0);
+        result.responses[d].responses[k] = dies[d].evaluate(op, /*eval_index=*/0);
       }
-      if (i < chip_lo || i >= chip_hi) return;
       for (std::size_t d = 0; d < designs.size(); ++d) {
-        const std::vector<double> flips = flip_walk(dies[d], golden[d][i], cfg.checkpoints);
-        for (std::size_t j = 0; j < years; ++j) series[d][j].values[i - chip_lo] = flips[j];
-        series[d][years].values[i - chip_lo] = golden[d][i].ones_fraction();
+        const BitVector& golden = result.responses[d].responses[k];
+        const std::vector<double> flips = flip_walk(dies[d], golden, cfg.checkpoints);
+        for (std::size_t j = 0; j < years; ++j) series[d][j].values[k] = flips[j];
+        series[d][years].values[k] = golden.ones_fraction();
       }
     });
   }
   for (std::vector<SampleSeries>& design_series : series) {
     for (SampleSeries& s : design_series) result.samples.push_back(std::move(s));
-  }
-
-  // Pair passes: the shard's owned slice of the O(N^2) pair space.
-  for (std::size_t d = 0; d < designs.size(); ++d) {
-    const std::string& key = designs[d].first;
-    const telemetry::StageTimer stage("shard.pairs[" + key + "]");
-    PairTally tally = tally_pair_range(golden[d], pair_lo, pair_hi);
-    tally.name = "e3." + key + ".pair_hd";
-    registry.counter("study.pair_hds").add(tally.count);
-    result.tallies.push_back(std::move(tally));
   }
   return result;
 }
@@ -196,6 +135,16 @@ JsonValue study_results_to_json(const ShardStudyResult& result, bool include_val
       obj["values"] = JsonValue(std::move(values));
     }
     samples[s.name] = JsonValue(std::move(obj));
+  }
+  JsonValue::Object responses;
+  for (const ResponseSet& r : result.responses) {
+    JsonValue::Object obj;
+    obj["offset"] = JsonValue(static_cast<std::uint64_t>(r.offset));
+    JsonValue::Array values;
+    values.reserve(r.responses.size());
+    for (const BitVector& response : r.responses) values.emplace_back(response.to_string());
+    obj["values"] = JsonValue(std::move(values));
+    responses[r.name] = JsonValue(std::move(obj));
   }
   JsonValue::Object tallies;
   for (const PairTally& t : result.tallies) {
@@ -218,6 +167,7 @@ JsonValue study_results_to_json(const ShardStudyResult& result, bool include_val
   }
   JsonValue::Object root;
   root["samples"] = JsonValue(std::move(samples));
+  root["responses"] = JsonValue(std::move(responses));
   root["tallies"] = JsonValue(std::move(tallies));
   return JsonValue(std::move(root));
 }

@@ -1,7 +1,7 @@
 // Sharded E2+E3 population study: the workload behind tools/aropuf_shard.
 //
 // A statistical study over a large chip population (Wilde-style RO-PUF
-// security analysis at 10k chips) splits into S seed-range shards.  This
+// security analysis at 10k chips) splits into S chip-range shards.  This
 // module defines what one shard computes and — critically — how the
 // per-shard payloads recombine without losing bit-identity with a
 // single-process run:
@@ -13,23 +13,22 @@
 //    accumulation a single process performs.  JSON round-trips doubles
 //    exactly (%.17g), so no precision is lost in transit.
 //
-//  * Pairwise quantities (E3 inter-chip Hamming distance over all
-//    k(k-1)/2 pairs) would be prohibitively large as raw samples, so they
-//    ship as PairTally: exact integer sufficient statistics (count, sum of
-//    bit-HDs, sum of squares, min, max, integer histogram bins) over a range
-//    of the flattened pair space.  Integer sums are associative, so any
-//    shard decomposition merges to exactly the single-process tally.
+//  * E3's inter-chip Hamming distance runs over all N(N-1)/2 pairs, and a
+//    pair's two chips may live in different shards.  So each shard ships its
+//    own chips' golden (eval 0) responses as a ResponseSet, and the
+//    aggregator tallies every pair once, after the fold (AggregateBuilder::
+//    finalize): exact integer sufficient statistics (count, sum of bit-HDs,
+//    sum of squares, min, max, integer histogram bins), the same for every
+//    shard decomposition.
 //
 // Chips are identified by their global index: chip i is always the die drawn
 // from RngFabric(seed).child("chip", i), so shard boundaries never change
 // which silicon is simulated (the same guarantee make_population gives).
 // Both designs are the same silicon read through another pairing and stress
-// profile.  Every shard needs all N golden responses of each design for the
-// pair study (O(N) work), so it runs three pool passes: one task per die
-// builds it once, reads it fresh as both designs, and, for the shard's own
-// chips [lo, hi), ages each design's copy through every checkpoint in the
-// same task; then one pass per design tallies the pair range the shard owns
-// (the O(N^2) part that matters).
+// profile, so a shard runs one pool pass over its own chips [lo, hi): one
+// task per die builds it once, reads it fresh as both designs, and ages each
+// design's copy through every checkpoint.  No shard builds another shard's
+// dies.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bitvector.hpp"
 #include "common/json.hpp"
 #include "sim/parallel.hpp"  // shard_range
 #include "sim/scenarios.hpp"
@@ -44,7 +44,11 @@
 
 namespace aropuf {
 
-inline constexpr int kShardStudySchemaVersion = 1;
+/// v2: shards ship their own chips' golden responses (results.responses)
+/// and the fold tallies E3's pairs; v1 shards shipped tallies over a range
+/// of the pair space.  The config echo carries it, so --resume re-runs a v1
+/// shard instead of folding it.
+inline constexpr int kShardStudySchemaVersion = 2;
 
 /// Configuration of the whole study (identical across shards; echoed into
 /// every shard manifest so the aggregator can detect mismatches).
@@ -64,9 +68,20 @@ struct SampleSeries {
   std::vector<double> values;
 };
 
+/// Golden (eval 0) responses of chips [offset, offset + responses.size()),
+/// named after the pair tally the aggregator computes from the merged set.
+struct ResponseSet {
+  std::string name;
+  std::size_t offset = 0;
+  std::vector<BitVector> responses;
+};
+
 /// Exact integer tally over pair-space indices [offset, offset + count).
 /// Raw values are integers in [0, denom] (bit Hamming distances); derived
-/// statistics divide by `denom` to land in fractional-HD units.
+/// statistics divide by `denom` to land in fractional-HD units.  A shard of
+/// this study ships responses, not tallies; the aggregator still sums tiles
+/// a caller tallied itself, which perfbench's traced rebuild of the study
+/// does.
 struct PairTally {
   std::string name;
   std::size_t offset = 0;
@@ -84,7 +99,8 @@ struct ShardStudyResult {
   std::size_t chip_lo = 0;
   std::size_t chip_hi = 0;
   std::vector<SampleSeries> samples;
-  std::vector<PairTally> tallies;
+  std::vector<ResponseSet> responses;
+  std::vector<PairTally> tallies;  ///< empty from run_shard_study
 };
 
 /// The part of an E2 series name that spells checkpoint `year`:
@@ -94,11 +110,11 @@ struct ShardStudyResult {
 /// spells it through this function.
 [[nodiscard]] std::string checkpoint_series_suffix(double year);
 
-/// Runs shard `index` of `count` shards: both designs' E2 aging series over
-/// the shard's chip range plus the E3 uniqueness tally over the shard's pair
-/// range.  Results are bit-identical for any (count, threads) decomposition
-/// once aggregated.  Throws std::invalid_argument unless the checkpoints are
-/// non-negative and strictly increasing; each names its series through
+/// Runs shard `index` of `count` shards: both designs' E2 aging series, E3
+/// uniformity and golden responses over the shard's chip range.  Results are
+/// bit-identical for any (count, threads) decomposition once aggregated.
+/// Throws std::invalid_argument unless the checkpoints are non-negative and
+/// strictly increasing; each names its series through
 /// checkpoint_series_suffix.
 [[nodiscard]] ShardStudyResult run_shard_study(const ShardStudyConfig& cfg, std::size_t index,
                                                std::size_t count);
@@ -107,7 +123,9 @@ struct ShardStudyResult {
 /// `include_values` false (the binary transport), sample series carry their
 /// headers only — the values travel out of band as packed doubles (see
 /// study_series_binary), which is what makes million-chip manifests cheap to
-/// parse.
+/// parse.  Responses ride in the document under both transports, as
+/// {"offset": chip_lo, "values": ["0110...", ...]}, one '0'/'1' string per
+/// chip.
 [[nodiscard]] JsonValue study_results_to_json(const ShardStudyResult& result,
                                               bool include_values = true);
 

@@ -1,6 +1,7 @@
 #include "telemetry/aggregate.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -394,9 +395,137 @@ void require_exact_tiling(const std::string& what,
   }
 }
 
-/// Merges integer tallies: all moments are exact integer sums, so the merge
-/// is order-independent and bit-identical to a single-process tally.
-JsonValue merge_tallies(const std::vector<ShardManifest>& shards) {
+/// Bins of a pair tally's histogram over fractional HD in [0, 1].
+constexpr std::size_t kPairTallyBins = 50;
+
+/// One shard's piece of a response set: chips [offset, offset + chips), each
+/// response `bits` long and packed LSB-first into ceil(bits / 64) words.
+struct ResponsePiece {
+  std::string name;
+  std::int64_t offset = 0;
+  std::int64_t chips = 0;
+  std::size_t bits = 0;
+  std::vector<std::uint64_t> words;
+};
+
+/// Reads a shard's results.responses, refusing (with the shard's path) any
+/// set that does not hold one '0'/'1' string per own chip, all of one
+/// length, starting at chip_lo.
+std::vector<ResponsePiece> extract_responses(const ShardManifest& shard) {
+  std::vector<ResponsePiece> pieces;
+  if (!shard.doc.contains("results") || !shard.doc.at("results").is_object()) return pieces;
+  const JsonValue& results = shard.doc.at("results");
+  if (!results.contains("responses")) return pieces;
+  if (!results.at("responses").is_object()) fail(shard.path, "responses section malformed");
+  const std::int64_t own = shard.chip_hi - shard.chip_lo;
+  for (const auto& [name, set] : results.at("responses").as_object()) {
+    const std::string what = "responses '" + name + "'";
+    if (!set.is_object() || !set.contains("offset") || !set.at("offset").is_number() ||
+        !set.contains("values") || !set.at("values").is_array()) {
+      fail(shard.path, what + " malformed");
+    }
+    if (set.at("offset").as_number() != static_cast<double>(shard.chip_lo)) {
+      fail(shard.path, what + " start at chip " + set.at("offset").dump() +
+                           ", not at the shard's chip_lo " + std::to_string(shard.chip_lo));
+    }
+    const JsonValue::Array& values = set.at("values").as_array();
+    if (static_cast<std::int64_t>(values.size()) != own) {
+      fail(shard.path, what + " hold " + std::to_string(values.size()) +
+                           " entries for the shard's " + std::to_string(own) + " chips");
+    }
+    ResponsePiece piece;
+    piece.name = name;
+    piece.offset = shard.chip_lo;
+    piece.chips = own;
+    const auto bad_entry = [&](std::size_t c, const std::string& why) {
+      fail(shard.path, what + " entry " + std::to_string(c) + " " + why);
+    };
+    std::size_t stride = 0;
+    for (std::size_t c = 0; c < values.size(); ++c) {
+      if (!values[c].is_string()) bad_entry(c, "is not a bit string");
+      const std::string& bits = values[c].as_string();
+      if (bits.empty() || bits.find_first_not_of("01") != std::string::npos) {
+        bad_entry(c, "is not a bit string");
+      }
+      if (c == 0) {
+        piece.bits = bits.size();
+        stride = (piece.bits + 63) / 64;
+        piece.words.assign(values.size() * stride, 0);
+      } else if (bits.size() != piece.bits) {
+        bad_entry(c, "is " + std::to_string(bits.size()) + " bits long, entry 0 is " +
+                         std::to_string(piece.bits));
+      }
+      std::uint64_t* words = piece.words.data() + c * stride;
+      for (std::size_t b = 0; b < bits.size(); ++b) {
+        if (bits[b] == '1') words[b / 64] |= std::uint64_t{1} << (b % 64);
+      }
+    }
+    pieces.push_back(std::move(piece));
+  }
+  return pieces;
+}
+
+/// E3's exact tally over every pair (i < j) of `chips` responses of `bits`
+/// bits, packed as ResponsePiece packs them: how often each bit-HD value
+/// occurs, and the one full-range tile (count, sum, sum of squares, min, max,
+/// bins) those integer counts give, in a shard's results.tallies shape.
+JsonValue tally_all_pairs(const std::vector<std::uint64_t>& words, std::size_t chips,
+                          std::size_t bits) {
+  const std::size_t stride = (bits + 63) / 64;
+  std::vector<std::uint64_t> hd_count(bits + 1, 0);
+  for (std::size_t i = 0; i < chips; ++i) {
+    const std::uint64_t* a = words.data() + i * stride;
+    for (std::size_t j = i + 1; j < chips; ++j) {
+      const std::uint64_t* b = words.data() + j * stride;
+      std::size_t hd = 0;
+      for (std::size_t w = 0; w < stride; ++w) {
+        hd += static_cast<std::size_t>(std::popcount(a[w] ^ b[w]));
+      }
+      ++hd_count[hd];
+    }
+  }
+  std::uint64_t count = 0, sum = 0, sum_sq = 0, min = 0, max = 0;
+  Histogram hist(0.0, 1.0, kPairTallyBins);
+  for (std::uint64_t hd = 0; hd <= bits; ++hd) {
+    const std::uint64_t n = hd_count[hd];
+    if (n == 0) continue;
+    if (count == 0) min = hd;
+    max = hd;
+    count += n;
+    sum += n * hd;
+    sum_sq += n * hd * hd;
+    hist.add(static_cast<double>(hd) / static_cast<double>(bits), n);
+  }
+  JsonValue::Object tile;
+  tile["offset"] = JsonValue(std::uint64_t{0});
+  tile["total"] = JsonValue(static_cast<std::uint64_t>(chips * (chips - 1) / 2));
+  tile["denom"] = JsonValue(static_cast<std::uint64_t>(bits));
+  tile["count"] = JsonValue(count);
+  tile["sum"] = JsonValue(sum);
+  tile["sum_sq"] = JsonValue(sum_sq);
+  tile["min"] = JsonValue(min);
+  tile["max"] = JsonValue(max);
+  tile["hist_lo"] = JsonValue(0.0);
+  tile["hist_hi"] = JsonValue(1.0);
+  JsonValue::Array bins;
+  for (std::size_t b = 0; b < hist.bins(); ++b) {
+    bins.emplace_back(static_cast<std::uint64_t>(hist.count(b)));
+  }
+  tile["bins"] = JsonValue(std::move(bins));
+  return JsonValue(std::move(tile));
+}
+
+/// A set of pair-tally tiles: a results.tallies object (name -> tile) and
+/// where it came from, for messages.
+using TileSet = std::pair<std::string, const JsonValue*>;
+
+/// Merges integer pair tallies: all moments are exact integer sums, so the
+/// merge is order-independent and bit-identical to a single-process tally.
+/// The fold hands it one full-range tile per response set (finalize()).
+/// Summing tiles over a split pair space serves only callers that tally
+/// their own pair ranges — perfbench's traced rebuild of the shard study —
+/// and goes with that rebuild.
+JsonValue merge_tallies(const std::vector<TileSet>& tile_sets) {
   struct TallyMerge {
     bool first = true;
     bool have_minmax = false;
@@ -410,12 +539,10 @@ JsonValue merge_tallies(const std::vector<ShardManifest>& shards) {
     std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
   };
   std::map<std::string, TallyMerge> merges;
-  for (const ShardManifest& s : shards) {
-    const JsonValue* tallies = results_section(s, "tallies");
-    if (tallies == nullptr) continue;
+  for (const auto& [origin, tallies] : tile_sets) {
     for (const auto& [name, t] : tallies->as_object()) {
       if (!t.is_object() || !t.contains("bins") || !t.at("bins").is_array()) {
-        throw std::runtime_error(s.path + ": tally '" + name + "' malformed");
+        throw std::runtime_error(origin + ": tally '" + name + "' malformed");
       }
       TallyMerge& m = merges[name];
       const JsonValue::Array& bins = t.at("bins").as_array();
@@ -429,7 +556,7 @@ JsonValue merge_tallies(const std::vector<ShardManifest>& shards) {
         m.bins.assign(bins.size(), 0.0);
       } else if (static_cast<std::int64_t>(t.number_or("total", 0.0)) != m.total ||
                  t.number_or("denom", 1.0) != m.denom || bins.size() != m.hist_bins) {
-        throw std::runtime_error(s.path + ": tally '" + name + "' disagrees on shape");
+        throw std::runtime_error(origin + ": tally '" + name + "' disagrees on shape");
       }
       // An empty piece (a shard whose pair range is empty) carries no
       // min/max information; letting its zeros in would corrupt the merge.
@@ -566,8 +693,9 @@ bool shard_manifest_is_valid(const std::string& path, const std::string& expect_
 }
 
 /// Builder state.  `shards` holds every folded manifest with its raw sample
-/// values stripped (the metadata-only residue the finalize-time merges need);
-/// `series` holds the live per-series folds.
+/// values and responses stripped (the metadata-only residue the
+/// finalize-time merges need); `series` holds the live per-series folds and
+/// `responses` the response sets, which finalize() tallies.
 struct AggregateBuilder::Impl {
   /// Incremental reduction of one sample series.  `cursor` is the next global
   /// chip index to reduce; `pending` is the out-of-order window keyed by
@@ -586,11 +714,19 @@ struct AggregateBuilder::Impl {
     std::vector<double> kept;  ///< populated under RawSeriesPolicy::kKeep only
   };
 
+  /// One response set's pieces by chip offset.  Kept to the end under every
+  /// policy: finalize() pairs every chip with every other.
+  struct ResponseFold {
+    std::size_t bits = 0;  ///< response length; 0 until a non-empty piece lands
+    std::vector<ResponsePiece> pieces;
+  };
+
   RawSeriesPolicy policy = RawSeriesPolicy::kKeep;
   bool finalized = false;
   std::set<int> seen;
   std::vector<ShardManifest> shards;
   std::map<std::string, SeriesFold> series;
+  std::map<std::string, ResponseFold> responses;
   std::size_t buffered = 0;
   std::size_t peak_buffered = 0;
   std::size_t reduced = 0;
@@ -656,6 +792,16 @@ void AggregateBuilder::add(DecodedShard&& input) {
       }
     }
   }
+  std::vector<ResponsePiece> responses = extract_responses(shard);
+  for (const ResponsePiece& p : responses) {
+    const auto it = im.responses.find(p.name);
+    if (it != im.responses.end() && it->second.bits != 0 && p.bits != 0 &&
+        p.bits != it->second.bits) {
+      fail(shard.path, "responses '" + p.name + "' are " + std::to_string(p.bits) +
+                           " bits long, the rest of their set " +
+                           std::to_string(it->second.bits));
+    }
+  }
 
   // ---- commit phase: cannot fail. ----
   im.seen.insert(shard.shard_index);
@@ -690,12 +836,17 @@ void AggregateBuilder::add(DecodedShard&& input) {
       im.reduced += chunk.size();
     }  // under kDropAfterCheck the chunk dies here — peak stays O(window)
   }
-  // Retain only the metadata residue of the manifest: raw sample values have
-  // been folded, so the doc's samples section is emptied before storage.
-  if (shard.doc.contains("results") && shard.doc.at("results").is_object() &&
-      shard.doc.at("results").contains("samples")) {
-    shard.doc.as_object().at("results").as_object()["samples"] =
-        JsonValue(JsonValue::Object{});
+  for (ResponsePiece& p : responses) {
+    Impl::ResponseFold& f = im.responses[p.name];
+    if (f.bits == 0) f.bits = p.bits;
+    f.pieces.push_back(std::move(p));
+  }
+  // Retain only the metadata residue of the manifest: raw sample values and
+  // responses have been folded, so the doc drops them before storage.
+  if (shard.doc.contains("results") && shard.doc.at("results").is_object()) {
+    JsonValue::Object& results = shard.doc.as_object().at("results").as_object();
+    if (results.count("samples") != 0) results["samples"] = JsonValue(JsonValue::Object{});
+    results.erase("responses");
   }
   im.shards.push_back(std::move(shard));
 }
@@ -830,9 +981,40 @@ AggregateResult AggregateBuilder::finalize() {
       }
       samples_out[name] = JsonValue(std::move(obj));
     }
+    // E3 at the fold: each response set must cover [0, chips) exactly and
+    // must not also arrive as tiles (a v1 shard folded beside a v2 one);
+    // then every pair is tallied once, as one full-range tile.
+    std::vector<TileSet> tile_sets;
+    for (const ShardManifest& s : shards) {
+      if (const JsonValue* tiles = results_section(s, "tallies")) {
+        for (const auto& [name, f] : im.responses) {
+          if (tiles->contains(name)) {
+            fail(s.path, "tally '" + name + "' arrives both as tiles and as responses");
+          }
+        }
+        tile_sets.emplace_back(s.path, tiles);
+      }
+    }
+    JsonValue::Object response_tallies;
+    for (auto& [name, f] : im.responses) {
+      std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
+      for (const ResponsePiece& p : f.pieces) ranges.emplace_back(p.offset, p.offset + p.chips);
+      require_exact_tiling("responses '" + name + "'", std::move(ranges), chips);
+      std::sort(f.pieces.begin(), f.pieces.end(),
+                [](const ResponsePiece& a, const ResponsePiece& b) { return a.offset < b.offset; });
+      std::vector<std::uint64_t> words;
+      for (const ResponsePiece& p : f.pieces) {
+        words.insert(words.end(), p.words.begin(), p.words.end());
+      }
+      response_tallies[name] =
+          tally_all_pairs(words, static_cast<std::size_t>(chips), f.bits);
+    }
+    const JsonValue folded(std::move(response_tallies));
+    tile_sets.emplace_back("responses", &folded);
+
     JsonValue::Object results;
     results["samples"] = JsonValue(std::move(samples_out));
-    results["tallies"] = merge_tallies(shards);
+    results["tallies"] = merge_tallies(tile_sets);
     root["results"] = JsonValue(std::move(results));
   }
   root["raw_series"] =

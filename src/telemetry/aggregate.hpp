@@ -18,8 +18,13 @@
 //                    - sample series (per-chip doubles) concatenate in global
 //                      chip order and are re-reduced serially, so the merged
 //                      RunningStats equals a single-process reduction;
-//                    - tallies (integer sufficient statistics over pair
-//                      spaces) are summed, which is exact by construction.
+//                    - response sets (each shard's own chips' bit strings)
+//                      fold by chip offset, and finalize() tallies every pair
+//                      of the merged set once into integer sufficient
+//                      statistics, emitted under "tallies" (the responses
+//                      themselves are not emitted);
+//                    - tallies a shard tallied itself over a range of a pair
+//                      space are summed, which is exact by construction.
 //
 // Merging is *incremental*: AggregateBuilder::add() folds one shard manifest
 // at a time, in any arrival order, and finalize() emits the merged document.
@@ -147,12 +152,14 @@ enum class RawSeriesPolicy {
 ///
 /// add() is transactional: it fully validates the incoming shard (structure,
 /// schema, duplicate index, shard-count and series-shape agreement with the
-/// shards already folded) before mutating any state, and throws
-/// std::runtime_error prefixed with the offending shard's path on failure —
-/// prior folds stay intact, so an orchestrator can retry or replace the bad
-/// shard and keep going.  Cross-shard completeness (chip ranges tiling
-/// [0, chips), all declared shards present) can only be judged once the set
-/// is closed and is checked by finalize().
+/// shards already folded; a response set must hold one bit string per own
+/// chip, all of one length, starting at chip_lo) before mutating any state,
+/// and throws std::runtime_error prefixed with the offending shard's path on
+/// failure — prior folds stay intact, so an orchestrator can retry or replace
+/// the bad shard and keep going.  Cross-shard completeness (chip ranges and
+/// every response set tiling [0, chips), all declared shards present, no
+/// tally arriving both as tiles and as responses) can only be judged once
+/// the set is closed and is checked by finalize().
 class AggregateBuilder {
  public:
   explicit AggregateBuilder(RawSeriesPolicy policy = RawSeriesPolicy::kKeep);
@@ -169,9 +176,10 @@ class AggregateBuilder {
   /// binary transport path): no JSON value arrays exist at any point.
   void add(DecodedShard&& shard);
 
-  /// Closes the set, verifies completeness, and emits the aggregate document.
-  /// Throws std::runtime_error on an empty/incomplete set; std::logic_error
-  /// if called twice.
+  /// Closes the set, verifies completeness, tallies every response set's
+  /// pairs (serially: O(chips^2) Hamming distances a set), and emits the
+  /// aggregate document.  Throws std::runtime_error on an empty/incomplete
+  /// set; std::logic_error if called twice.
   [[nodiscard]] AggregateResult finalize();
 
   [[nodiscard]] RawSeriesPolicy policy() const;

@@ -7,11 +7,15 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "keygen/sha256.hpp"
 #include "puf/ro_puf.hpp"
 #include "sim/scenarios.hpp"
 #include "sim/shard_study.hpp"
+#include "telemetry/aggregate.hpp"
+#include "telemetry/manifest.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace aropuf {
 namespace {
@@ -186,8 +190,8 @@ TEST(DeterminismTest, ChipConstructionDigestIsPinned) {
 }
 
 TEST(DeterminismTest, ShardStudyDigestIsPinned) {
-  // Every per-chip series value and every pair tally of a 40-chip, 4-shard
-  // E2+E3 study.
+  // Every per-chip series value and every golden response of a 40-chip,
+  // 4-shard E2+E3 study, as the shards ship them.
   ShardStudyConfig cfg;
   cfg.pop.chips = 40;
   cfg.pop.seed = 2014;
@@ -202,17 +206,38 @@ TEST(DeterminismTest, ShardStudyDigestIsPinned) {
       digest.add(static_cast<std::uint64_t>(s.total));
       for (const double v : s.values) digest.add(v);
     }
-    for (const PairTally& t : r.tallies) {
-      digest.add(t.name);
-      for (const std::uint64_t v : {static_cast<std::uint64_t>(t.offset),
-                                    static_cast<std::uint64_t>(t.total), t.denom, t.count, t.sum,
-                                    t.sum_sq, t.min, t.max}) {
-        digest.add(v);
-      }
-      for (const std::uint64_t b : t.bins) digest.add(b);
+    for (const ResponseSet& set : r.responses) {
+      digest.add(set.name);
+      digest.add(static_cast<std::uint64_t>(set.offset));
+      for (const BitVector& response : set.responses) digest.add(response.to_string());
     }
   }
-  EXPECT_EQ(digest.hex(), "12c665f38b72f22d5364bc6b5f5c9883e68865d8c31671637165c98e64bb39b4");
+  EXPECT_EQ(digest.hex(), "52b68956b380c94362bfc31d7d5921f7ba493ebdc6676b8dcaf921fbdbb78fdf");
+}
+
+TEST(DeterminismTest, MergedShardStudyDigestIsPinned) {
+  // The aggregate results section (raw values kept) of the 40-chip study,
+  // folded from 1, 3 and 4 shards over the binary transport: every merged
+  // series and pair tally, whatever the shards ship to produce them.
+  ShardStudyConfig cfg;
+  cfg.pop.chips = 40;
+  cfg.pop.seed = 2014;
+  std::vector<std::string> digests;
+  for (const int shards : {1, 3, 4}) {
+    telemetry::AggregateBuilder builder(telemetry::RawSeriesPolicy::kKeep);
+    for (int k = 0; k < shards; ++k) {
+      builder.add(telemetry::decode_shard_input(
+          run_shard_job(cfg, k, shards, "merged_digest", /*binary=*/true), "<memory>"));
+    }
+    Digest digest;
+    digest.add(builder.finalize().manifest.at("results").dump());
+    digests.push_back(digest.hex());
+  }
+  telemetry::MetricsRegistry::global().set_shard_index(-1);
+  telemetry::reset_run_record();
+  EXPECT_EQ(digests[1], digests[0]) << "3 shards";
+  EXPECT_EQ(digests[2], digests[0]) << "4 shards";
+  EXPECT_EQ(digests[0], "feae0f935ab02eda9c76aba39495d32bb6a4d8db8e38952ecc427f595f4fe75f");
 }
 
 void add_stats(Digest& d, const RunningStats& s) {

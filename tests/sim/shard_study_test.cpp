@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -108,24 +109,27 @@ TEST(ShardStudyTest, ResultsAreThreadCountInvariant) {
 }
 
 TEST(ShardStudyTest, BuildsEachDieOnceAndReusesItsOwnGoldenReads) {
-  // One chip pass builds every die once, under the first design, and reads
-  // it fresh as both designs; the shard's own chips age through every
-  // checkpoint in each design in the same task, so the golden read E3 pairs
-  // is the one E2 flips are measured against.  A pair pass per design
-  // follows: three pool passes.
+  // One chip pass builds each of the shard's own dies once, under the first
+  // design, and reads it fresh as both designs; each design's copy then ages
+  // through every checkpoint in the same task, so the golden read the
+  // aggregator pairs is the one E2 flips are measured against.  No shard
+  // builds or reads another shard's dies: one pool pass.
   const ShardStudyConfig cfg = small_config();
-  const auto chips = static_cast<std::uint64_t>(cfg.pop.chips);
   const auto checkpoints = static_cast<std::uint64_t>(cfg.checkpoints.size());
   auto& registry = telemetry::MetricsRegistry::global();
   for (const std::size_t shards : {1u, 3u}) {
     registry.reset();
     const ShardStudyResult r = run_shard_study(cfg, 0, shards);
     const std::uint64_t own = r.chip_hi - r.chip_lo;
-    EXPECT_EQ(registry.counter("study.chips_built").value(), chips) << shards << " shards";
-    EXPECT_EQ(registry.counter("puf.evaluations").value(),
-              2 * (own * (1 + checkpoints) + (chips - own)))
+    EXPECT_EQ(registry.counter("study.chips_built").value(), own) << shards << " shards";
+    EXPECT_EQ(registry.counter("puf.evaluations").value(), 2 * own * (1 + checkpoints))
         << shards << " shards";
-    EXPECT_EQ(registry.counter("parallel.jobs").value(), 3u) << shards << " shards";
+    EXPECT_EQ(registry.counter("parallel.jobs").value(), 1u) << shards << " shards";
+    ASSERT_EQ(r.responses.size(), 2u);
+    for (const ResponseSet& set : r.responses) {
+      EXPECT_EQ(set.offset, r.chip_lo) << set.name;
+      EXPECT_EQ(set.responses.size(), own) << set.name;
+    }
   }
 }
 
@@ -171,6 +175,32 @@ TEST(ShardStudyTest, EachShardJobsProfileCountersCoverThatJobOnly) {
   const JsonValue& profile = doc.at("profile");
   EXPECT_EQ(profile.at("mode").as_string(), "fallback");
   EXPECT_LE(profile.at("counters").at("wall_ms").as_number(), around_ms);
+}
+
+TEST(ShardStudyTest, ResumeValidityProbeRerunsASchemaOneShard) {
+  // A shard file a schema-1 build left behind ships pair tiles and no
+  // responses.  Its config echo names schema 1, so --resume re-runs it
+  // instead of folding it beside schema-2 shards, whose response sets would
+  // miss its chips.
+  const ShardStudyConfig cfg = small_config();
+  JsonValue doc = JsonValue::parse(run_shard_job(cfg, 1, 2, "resume_test", /*binary=*/false));
+  telemetry::MetricsRegistry::global().set_shard_index(-1);
+  telemetry::reset_run_record();
+  const std::string path = ::testing::TempDir() + "aropuf_resume_schema1.json";
+  const auto write = [&path](const JsonValue& d) {
+    std::ofstream(path, std::ios::trunc) << d.dump(2);
+  };
+  const JsonValue expect_config = study_config_json(cfg);
+  std::string why;
+  write(doc);
+  EXPECT_TRUE(telemetry::shard_manifest_is_valid(path, "resume_test", 1, 2, expect_config, &why))
+      << why;
+
+  doc.as_object()["config"].as_object()["study_schema"] = JsonValue(1);
+  doc.as_object()["results"].as_object().erase("responses");
+  write(doc);
+  EXPECT_FALSE(telemetry::shard_manifest_is_valid(path, "resume_test", 1, 2, expect_config, &why));
+  EXPECT_EQ(why, "study config mismatch");
 }
 
 TEST(ShardStudyTest, ConfigEchoIsIdenticalAcrossShards) {

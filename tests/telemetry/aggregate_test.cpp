@@ -97,6 +97,18 @@ void add_tally(JsonValue& doc, const std::string& name, std::int64_t offset, std
       JsonValue(std::move(tally));
 }
 
+void add_responses(JsonValue& doc, const std::string& name, std::int64_t offset,
+                   const std::vector<std::string>& responses) {
+  JsonValue::Object set;
+  set["offset"] = JsonValue(static_cast<std::uint64_t>(offset));
+  JsonValue::Array values;
+  for (const std::string& r : responses) values.emplace_back(r);
+  set["values"] = JsonValue(std::move(values));
+  JsonValue& sets = doc.as_object()["results"].as_object()["responses"];
+  if (!sets.is_object()) sets = JsonValue(JsonValue::Object{});
+  sets.as_object()[name] = JsonValue(std::move(set));
+}
+
 void set_metric(JsonValue& doc, const char* kind, const std::string& name, JsonValue value) {
   doc.as_object()["metrics"].as_object()[kind].as_object()[name] = std::move(value);
 }
@@ -566,6 +578,135 @@ TEST(AggregateBuilderTest, IncompleteSetFailsFinalizeNotAdd) {
   builder.add(std::move(shards[0]));
   builder.add(std::move(shards[2]));  // shard 1's chips never arrive
   EXPECT_THROW((void)builder.finalize(), std::runtime_error);
+}
+
+/// Two shards of a four-chip response set, 6-bit responses, chips [0, 2)
+/// and [2, 4).  Pair HDs: (0,1) 3, (0,2) 6, (0,3) 2, (1,2) 3, (1,3) 5,
+/// (2,3) 4.
+std::vector<JsonValue> response_fixture() {
+  const std::vector<std::vector<std::string>> halves = {{"000000", "011100"},
+                                                        {"111111", "000011"}};
+  std::vector<JsonValue> docs;
+  for (int k = 0; k < 2; ++k) {
+    JsonValue doc = make_shard_doc(k, 2, 2 * k, 2 * k + 2);
+    add_responses(doc, "r", 2 * k, halves[static_cast<std::size_t>(k)]);
+    docs.push_back(std::move(doc));
+  }
+  return docs;
+}
+
+/// Folds shard 0 of the fixture, then `bad` as shard 1 under a named path,
+/// and returns add()'s message ("" if it folded).
+std::string add_error(JsonValue bad) {
+  AggregateBuilder builder;
+  builder.add(wrap_shard_manifest(response_fixture()[0]));
+  try {
+    builder.add(wrap_shard_manifest(std::move(bad), "/runs/shard1.manifest.json"));
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(builder.shards_added(), 1);
+    return e.what();
+  }
+  return "";
+}
+
+TEST(AggregateBuilderTest, ResponseSetsTallyEveryPairOnceAtFinalize) {
+  for (const RawSeriesPolicy policy :
+       {RawSeriesPolicy::kKeep, RawSeriesPolicy::kDropAfterCheck}) {
+    std::vector<ShardManifest> shards;
+    for (JsonValue& doc : response_fixture()) shards.push_back(wrap_shard_manifest(std::move(doc)));
+    std::reverse(shards.begin(), shards.end());
+    const AggregateResult merged = aggregate_shards(std::move(shards), policy);
+    const JsonValue& results = merged.manifest.at("results");
+    // The responses become a tally; they are not emitted themselves.
+    EXPECT_FALSE(results.contains("responses"));
+    const JsonValue& t = results.at("tallies").at("r");
+    EXPECT_EQ(t.at("count").as_number(), 6.0);
+    EXPECT_EQ(t.at("sum").as_number(), 23.0);
+    EXPECT_EQ(t.at("sum_sq").as_number(), 99.0);
+    EXPECT_EQ(t.at("denom").as_number(), 6.0);
+    EXPECT_EQ(t.at("min").as_number(), 2.0 / 6.0);
+    EXPECT_EQ(t.at("max").as_number(), 1.0);
+    EXPECT_EQ(t.at("mean").as_number(), (23.0 / 6.0) / 6.0);
+    // HD 3/6 lands in bin 25 of 50, twice; HD 6/6 in the last bin.
+    const JsonValue::Array& bins = t.at("histogram").at("bins").as_array();
+    ASSERT_EQ(bins.size(), 50U);
+    EXPECT_EQ(bins[25].as_number(), 2.0);
+    EXPECT_EQ(bins[49].as_number(), 1.0);
+  }
+}
+
+TEST(AggregateBuilderTest, RefusesAResponseOfAnotherLength) {
+  JsonValue bad = response_fixture()[1];
+  add_responses(bad, "r", 2, {"111111", "00001"});
+  const std::string why = add_error(std::move(bad));
+  EXPECT_NE(why.find("/runs/shard1.manifest.json"), std::string::npos) << why;
+  EXPECT_NE(why.find("responses 'r' entry 1 is 5 bits long, entry 0 is 6"), std::string::npos)
+      << why;
+
+  // Also against the rest of the set from earlier shards.
+  JsonValue shorter = response_fixture()[1];
+  add_responses(shorter, "r", 2, {"11111", "00001"});
+  EXPECT_NE(add_error(std::move(shorter)).find("are 5 bits long"), std::string::npos);
+}
+
+TEST(AggregateBuilderTest, RefusesAResponseThatIsNotABitString) {
+  for (const JsonValue& entry : {JsonValue("0121x0"), JsonValue(""), JsonValue(3.0)}) {
+    JsonValue bad = response_fixture()[1];
+    bad.as_object()["results"].as_object()["responses"].as_object()["r"].as_object()["values"]
+        .as_array()[0] = entry;
+    const std::string why = add_error(std::move(bad));
+    EXPECT_NE(why.find("/runs/shard1.manifest.json"), std::string::npos) << why;
+    EXPECT_NE(why.find("responses 'r' entry 0 is not a bit string"), std::string::npos) << why;
+  }
+}
+
+TEST(AggregateBuilderTest, RefusesAResponseCountOtherThanTheShardsChips) {
+  JsonValue bad = response_fixture()[1];
+  add_responses(bad, "r", 2, {"111111"});
+  const std::string why = add_error(std::move(bad));
+  EXPECT_NE(why.find("/runs/shard1.manifest.json"), std::string::npos) << why;
+  EXPECT_NE(why.find("hold 1 entries for the shard's 2 chips"), std::string::npos) << why;
+}
+
+TEST(AggregateBuilderTest, RefusesAResponseOffsetOtherThanChipLo) {
+  JsonValue bad = response_fixture()[1];
+  add_responses(bad, "r", 1, {"111111", "000011"});
+  const std::string why = add_error(std::move(bad));
+  EXPECT_NE(why.find("/runs/shard1.manifest.json"), std::string::npos) << why;
+  EXPECT_NE(why.find("start at chip 1, not at the shard's chip_lo 2"), std::string::npos)
+      << why;
+}
+
+TEST(AggregateBuilderTest, FinalizeRefusesAGapInAResponseSet) {
+  // Shard 1 ships no responses at all, so the set covers only [0, 2) of 4.
+  std::vector<ShardManifest> shards;
+  shards.push_back(wrap_shard_manifest(response_fixture()[0]));
+  shards.push_back(wrap_shard_manifest(make_shard_doc(1, 2, 2, 4)));
+  try {
+    (void)aggregate_shards(std::move(shards));
+    FAIL() << "a response set with a gap must not tally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("responses 'r'"), std::string::npos) << e.what();
+  }
+}
+
+TEST(AggregateBuilderTest, FinalizeRefusesATallyArrivingAsTilesAndResponses) {
+  // A shard that tallied its pair range itself (as schema-1 shards did)
+  // folded beside one that ships responses for the same tally.
+  std::vector<ShardManifest> shards;
+  shards.push_back(wrap_shard_manifest(response_fixture()[0]));
+  JsonValue tiles = make_shard_doc(1, 2, 2, 4);
+  add_tally(tiles, "r", 3, 6, {6, 4, 1}, /*denom=*/6);
+  shards.push_back(wrap_shard_manifest(std::move(tiles), "/runs/old-shard1.manifest.json"));
+  try {
+    (void)aggregate_shards(std::move(shards));
+    FAIL() << "a tally arriving both ways must not merge";
+  } catch (const std::runtime_error& e) {
+    const std::string why = e.what();
+    EXPECT_NE(why.find("/runs/old-shard1.manifest.json"), std::string::npos) << why;
+    EXPECT_NE(why.find("tally 'r' arrives both as tiles and as responses"), std::string::npos)
+        << why;
+  }
 }
 
 TEST(AggregateTest, WriteAggregateManifestRoundTrips) {
